@@ -1180,12 +1180,16 @@ def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
     return failures
 
 
-def _load_bench_baseline(path, smoke: bool):
+def _load_bench_baseline(
+    path, smoke: bool, *, nodes=None, rounds=None, seed=None
+):
     """The latest gate-matching record in a ``BENCH_perf.json`` baseline.
 
-    Returns ``(record, None)`` on success or ``(None, reason)`` — one
-    clear line instead of a traceback for every way the baseline file
-    can be missing or wrong.
+    A record matches on ``smoke`` and on every fleet-shape field given
+    (``nodes``, ``rounds``, ``seed``), so a run is only ever gated
+    against a record of the same shape.  Returns ``(record, None)`` on
+    success or ``(None, reason)`` — one clear line instead of a
+    traceback for every way the baseline file can be missing or wrong.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -1196,12 +1200,15 @@ def _load_bench_baseline(path, smoke: bool):
         return None, f"baseline {path} is not valid JSON"
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         return None, f"baseline {path} has no 'records' list"
+    shape = {"smoke": smoke, "nodes": nodes, "rounds": rounds, "seed": seed}
+    shape = {k: v for k, v in shape.items() if v is not None}
     matching = [
         r for r in data["records"]
-        if isinstance(r, dict) and r.get("smoke") == smoke
+        if isinstance(r, dict) and all(r.get(k) == v for k, v in shape.items())
     ]
     if not matching:
-        return None, f"no baseline record with smoke={smoke} in {path}"
+        wanted = ", ".join(f"{k}={v}" for k, v in shape.items())
+        return None, f"no baseline record with {wanted} in {path}"
     record = matching[-1]
     if record.get("schema") != 1:
         return None, (
@@ -1341,7 +1348,10 @@ def _cmd_bench(args) -> int:
 
     status = 0
     if args.compare:
-        baseline, problem = _load_bench_baseline(args.compare, record["smoke"])
+        baseline, problem = _load_bench_baseline(
+            args.compare, record["smoke"],
+            nodes=nodes, rounds=rounds, seed=args.seed,
+        )
         if problem is not None:
             _emit(f"FAIL: {problem}")
             return 1

@@ -43,6 +43,31 @@ from repro.perf.cache import LRUCache, cache_enabled
 from repro.piezo.transducer import Transducer
 
 
+def fast_length(n_samples: int) -> int:
+    """The transform length every link-path FFT of ``n_samples`` runs at.
+
+    The smallest 5-smooth length ``>= n_samples``.  A node's waveform
+    lengths follow its impulse-response length (88k–90k samples) and
+    are almost never smooth; pocketfft then falls back to a Bluestein
+    transform that costs ~4x more per call and caches a plan of ~9 MB
+    per distinct length.  Each link transform zero-pads its input to
+    this length and trims the result back, so the sequential path and
+    the batched engine (:mod:`repro.perf.batch`) agree bit for bit.
+    """
+    return scipy.fft.next_fast_len(int(n_samples), True)
+
+
+def analytic_signal(x) -> np.ndarray:
+    """``hilbert(x)`` computed at :func:`fast_length` and trimmed to ``len(x)``.
+
+    This is the analytic signal of the zero-extended waveform; it
+    differs from the unpadded transform only through the wrap-around
+    at the waveform's edges.
+    """
+    x = np.asarray(x, dtype=float)
+    return hilbert(x, N=fast_length(len(x)))[: len(x)]
+
+
 def reradiation_response(
     transducer: Transducer,
     n_samples: int,
@@ -51,12 +76,14 @@ def reradiation_response(
 ) -> np.ndarray:
     """The rfft-bin gain vector of the transducer's re-radiation filter.
 
-    A pure function of (transducer, length, carrier, rate), split out of
+    The bins are those of the padded transform an ``n_samples``-long
+    waveform is filtered at (:func:`fast_length`).  A pure function of
+    (transducer, length, carrier, rate), split out of
     :func:`apply_reradiation_filter` so callers that filter many
     same-length waveforms — the leg memo and the batched fleet engine —
     can compute it once per length instead of once per waveform.
     """
-    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(fast_length(n_samples), 1.0 / sample_rate)
     response = np.ones_like(freqs)
     positive = freqs > 0
     response[positive] = transducer.response(freqs[positive])
@@ -84,22 +111,21 @@ def apply_reradiation_filter(
     unity at the carrier so the (already applied) reflection coefficient
     is not double-counted.
 
-    ``response`` may carry a precomputed :func:`reradiation_response`
-    for this exact length; passing it changes nothing numerically.
-
-    The transform runs through :mod:`scipy.fft` (pypocketfft), which is
-    bit-identical to ``np.fft`` but ~1.7x faster at the awkward
-    (often prime) mixture lengths this filter sees.
+    The waveform is zero-padded to :func:`fast_length`, filtered in the
+    frequency domain and trimmed back to its own length, so the filter's
+    tails spill into the discarded padding instead of wrapping around
+    the reply.  ``response`` may carry a precomputed
+    :func:`reradiation_response` for this waveform length; passing it
+    changes nothing numerically.
     """
     x = np.asarray(waveform, dtype=float)
-    if len(x) == 0:
+    n = len(x)
+    if n == 0:
         return x.copy()
-    spectrum = scipy.fft.rfft(x)
+    m = fast_length(n)
     if response is None:
-        response = reradiation_response(
-            transducer, len(x), carrier_hz, sample_rate
-        )
-    return scipy.fft.irfft(spectrum * response, n=len(x))
+        response = reradiation_response(transducer, n, carrier_hz, sample_rate)
+    return scipy.fft.irfft(scipy.fft.rfft(x, n=m) * response, n=m)[:n]
 
 
 @dataclass
@@ -511,9 +537,9 @@ class BackscatterLink:
         and is dropped — only the *difference* between states matters to
         the decoder, and the constant term merely adds to the carrier.
 
-        ``analytic`` may carry a precomputed ``hilbert(incident)`` (the
-        carrier-leg memo and the batched engine reuse it across reply
-        payloads); supplying it changes nothing numerically.
+        ``analytic`` may carry a precomputed ``analytic_signal(incident)``
+        (the carrier-leg memo and the batched engine reuse it across
+        reply payloads); supplying it changes nothing numerically.
         """
         gamma_t = self._gamma_trajectory(
             len(incident),
@@ -522,7 +548,7 @@ class BackscatterLink:
             self.node.bitrate if bitrate is None else bitrate,
         )
         if analytic is None:
-            analytic = hilbert(np.asarray(incident, dtype=float))
+            analytic = analytic_signal(incident)
         reflected = np.real(gamma_t * analytic)
         reflected = apply_reradiation_filter(
             reflected,
@@ -553,11 +579,13 @@ class BackscatterLink:
         Everything here depends only on the query, the reply *length*,
         and the bitrate — not on which chips the node actually sends:
         the transmit waveform, its propagation to the node (as the
-        analytic signal the reflection modulates) and to the hydrophone
-        (the direct carrier), and the timing offsets.  Splitting this
-        out of the uplink memo means a node whose sensor reading drifts
-        between rounds only recomputes the cheap chip-dependent tail,
-        not the hilbert transform and two channel convolutions.
+        analytic signal the reflection modulates, computed at the padded
+        :func:`fast_length`) and to the hydrophone (the direct carrier),
+        and the timing offsets.  Splitting this out of the uplink memo
+        means a node whose sensor reading drifts between rounds only
+        recomputes the chip-dependent tail, not the Hilbert transform
+        and two channel convolutions.  The batched engine computes the
+        same tuple row by row (``_batch_carrier_legs``).
 
         Returns ``(analytic, direct, reply_start, analysis_start)``.
         """
@@ -570,7 +598,7 @@ class BackscatterLink:
         reply_start = (
             uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
         )
-        analytic = hilbert(np.asarray(incident, dtype=float))
+        analytic = analytic_signal(incident)
         direct = (
             self.beam_gain_hydrophone
             * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
@@ -690,17 +718,14 @@ class BackscatterLink:
         """Whether the leg memo may shortcut waveform synthesis.
 
         Only when nothing observes the intermediate signals: tracing
-        wants true per-stage timings, probes want the actual waveforms, and
-        an energy ledger wants real firmware dwell times.  The memo
-        never changes outputs — the gates protect observability, not
-        correctness.
+        wants true per-stage timings and probes want the actual
+        waveforms.  An energy ledger does not gate it: the only firmware
+        step the memo skips is the query decode's ``DECODING -> IDLE``
+        state pair, which advances no time, so the ledger's books are
+        the same either way.  The memo never changes outputs — the gates
+        protect observability, not correctness.
         """
-        return (
-            cache_enabled()
-            and not tracer.enabled
-            and not probes.enabled
-            and self.node.firmware.ledger is None
-        )
+        return cache_enabled() and not tracer.enabled and not probes.enabled
 
     def _run_stages_cached(self, query: Query) -> LinkResult:
         """The exchange with memoized deterministic legs.
@@ -738,8 +763,9 @@ class BackscatterLink:
             ("downlink", query, mode), compute_query_env
         )
         # The PWM decode is pure DSP on the memoized envelope (the node
-        # is powered and unledgered here, and the PWM code is fixed at
-        # construction), so its result is memoized under the same key.
+        # is powered here, and the PWM code is fixed at construction), so
+        # its result is memoized under the same key.  A hit skips only the
+        # decode's DECODING -> IDLE ledger pair, which books no time.
         decoded_query = self._leg_memo.get_or_compute(
             ("downlink_decode", query, mode),
             lambda: self.node.receive_query(env, fs),
@@ -1113,7 +1139,7 @@ class BackscatterLink:
             if a >= len(incident):
                 break
             gamma_t[a : min(b, len(incident))] = g
-        reflected = np.real(gamma_t * hilbert(incident))
+        reflected = np.real(gamma_t * analytic_signal(incident))
         direct = self.beam_gain_hydrophone * self.ch_projector_hydrophone.apply(
             tx, include_noise=False
         ).waveform

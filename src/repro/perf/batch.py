@@ -71,7 +71,7 @@ import numpy as np
 import scipy.fft
 from scipy.signal import fftconvolve, hilbert
 
-from repro.core.link import BackscatterLink
+from repro.core.link import BackscatterLink, fast_length
 from repro.dsp.filters import butter_bandpass, butter_lowpass, envelope_detect
 from repro.dsp.sync import batched_preamble_correlation, correct_cfo, estimate_cfo
 from repro.dsp.waveforms import downconvert
@@ -609,7 +609,10 @@ class BatchedLinkEngine:
                     uplink_start + delay_pn
                     + int(link.UPLINK_MARGIN_S / 2 * fs)
                 )
-                analytic = hilbert(np.asarray(incident, dtype=float))
+                # core.link.analytic_signal, inlined so a tracer bound to
+                # this module's ``hilbert`` sees the call.
+                n = len(incident)
+                analytic = hilbert(incident, N=fast_length(n))[:n]
                 delay_ph = int(
                     round(
                         link.ch_projector_hydrophone.direct_path.delay_s * fs
@@ -628,14 +631,13 @@ class BatchedLinkEngine:
     def _batch_uplink_tails(self, plans: list) -> None:
         """Chip-dependent tails: batched re-radiation + uplink channel.
 
-        The re-radiation filter is the tail's dominant cost — its
-        length is typically a *prime* sample count, so pocketfft runs a
-        Bluestein transform an order of magnitude slower than a
-        composite length — and the batching sweet spot: one stacked
-        rfft, a per-row response multiply, one stacked irfft per
-        equal-length group.  Rows of a drifting (Doppler) link fall
-        back to the link's own per-row tail, and every plan ends
-        holding its quiet mixture for the demod prepass.
+        The re-radiation filter runs exactly as
+        :func:`~repro.core.link.apply_reradiation_filter` does per row:
+        one stacked rfft at the padded :func:`~repro.core.link.fast_length`,
+        a per-row response multiply, one stacked irfft trimmed back to
+        the waveform length, per equal-length group.  Rows of a drifting
+        (Doppler) link fall back to the link's own per-row tail, and
+        every plan ends holding its quiet mixture for the demod prepass.
         """
         tails, seen_inline = [], []
         for plan in plans:
@@ -687,8 +689,11 @@ class BatchedLinkEngine:
                 responses = np.stack(
                     [p.link._reradiation_response(n) for p in group]
                 )
-                spectra = scipy.fft.rfft(reflected, axis=-1)
-                filtered = scipy.fft.irfft(spectra * responses, n=n, axis=-1)
+                m = fast_length(n)
+                spectra = scipy.fft.rfft(reflected, n=m, axis=-1)
+                filtered = scipy.fft.irfft(
+                    spectra * responses, n=m, axis=-1
+                )[:, :n]
                 ir_nh = np.stack(
                     [p.link.ch_node_hydrophone._impulse for p in group]
                 )

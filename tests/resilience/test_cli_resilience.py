@@ -77,6 +77,35 @@ class TestBenchBaselineGuards:
         assert problem is None
         assert record["sequential_s"] == 1.0
 
+    def _shaped(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text(
+            json.dumps({
+                "records": [
+                    {"schema": 1, "smoke": True, "nodes": 10, "rounds": 3,
+                     "seed": 2019, "sequential_s": 1.0},
+                    {"schema": 1, "smoke": True, "nodes": 2, "rounds": 3,
+                     "seed": 2019, "sequential_s": 0.1},
+                ]
+            })
+        )
+        return path
+
+    def test_matches_on_fleet_shape_not_just_smoke(self, tmp_path):
+        record, problem = _load_bench_baseline(
+            self._shaped(tmp_path), True, nodes=10, rounds=3, seed=2019
+        )
+        assert problem is None
+        assert record["nodes"] == 10 and record["sequential_s"] == 1.0
+
+    def test_no_record_of_that_shape_fails_in_one_line(self, tmp_path):
+        record, problem = _load_bench_baseline(
+            self._shaped(tmp_path), True, nodes=100, rounds=3, seed=2019
+        )
+        assert record is None
+        assert "nodes=100, rounds=3, seed=2019" in problem
+        assert "\n" not in problem
+
 
 class TestCheckpointFlags:
     def test_checkpoint_every_requires_dir(self, capsys):
