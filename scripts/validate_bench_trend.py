@@ -7,7 +7,8 @@ match the canonical column layout exactly.  This validator is the CI
 (lint job) end of that contract — it fails when:
 
 * the header is not the canonical layout (columns renamed, reordered,
-  or dropped — e.g. a row written by a pre-batch-engine checkout);
+  or dropped — e.g. a row written by a checkout that still timed a
+  thread-pool mode);
 * a row has the wrong field count or a non-numeric field;
 * the ``smoke`` column is not 0/1;
 * a header line reappears mid-file (two files concatenated).
@@ -22,8 +23,8 @@ import pathlib
 import sys
 
 CANONICAL_HEADER = (
-    "smoke,nodes,rounds,seed,parallel,sequential_s,cached_s,"
-    "parallel_s,batch_s,speedup_cached,speedup_total,speedup_batch,"
+    "smoke,nodes,rounds,seed,sequential_s,cached_s,"
+    "batch_s,speedup_cached,speedup_batch,"
     "frac_pwm_synthesis,frac_downlink_propagation,frac_node,"
     "frac_uplink_propagation,frac_hydrophone_dsp"
 )

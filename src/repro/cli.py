@@ -22,10 +22,10 @@ Lets a user drive the reproduction without writing code:
 * ``tail`` — render a ``--stream-out`` telemetry stream: one line per
   round (delivery, SoC, SLO burn, health churn), live with
   ``--follow``; rebuilds the exact campaign timeline from the stream.
-* ``bench``    — sequential vs cached vs parallel campaign benchmark
+* ``bench``    — sequential vs cached vs batch campaign benchmark
   with the perf-regression gate (``--compare``).
 * ``profile``  — deterministic campaign profiler: per-stage wall/CPU
-  attribution, per-worker busy/idle + GIL proxy, cache time-saved,
+  attribution, batched-engine counters, cache time-saved,
   tracemalloc high-water, and byte-deterministic collapsed-stack /
   speedscope flamegraphs (``--flame-out``).
 * ``fig3``     — print the recto-piezo tuning curves.
@@ -438,7 +438,7 @@ def _make_chaos_reader(nodes: int, seed: int, window: int, inject_noise=None):
     slo = SLOTracker(window=window)
     metrics = MetricsRegistry()
     # Registered here (not per-command) so every execution mode --
-    # fleet-report, resume, parallel -- carries the identical
+    # fleet-report, resume, batch -- carries the identical
     # pab_build_info sample and campaign digests stay byte-identical.
     set_build_info(metrics)
     reader = ReaderController(
@@ -1030,7 +1030,7 @@ def _build_bench_fleet(nodes: int, seed: int, bitrate: float):
 
 
 def _bench_campaign(nodes: int, rounds: int, seed: int, bitrate: float,
-                    parallel: int, kill_at: tuple[int, int] | None = None,
+                    parallel: int | str, kill_at: tuple[int, int] | None = None,
                     transports=None, reader_sink: list | None = None):
     """One timed campaign on a fresh fleet; returns ``(seconds, digest)``.
 
@@ -1128,18 +1128,15 @@ def _bench_stage_breakdown(seed: int, bitrate: float, repeats: int = 5) -> dict:
 
 
 def _baseline_modes(baseline: dict) -> list[tuple[str, str]]:
-    """``(mode-name, speedup-key)`` pairs a baseline record carries.
+    """``(mode-name, speedup-key)`` pairs the gate checks in a baseline.
 
-    Old baselines predate the batched engine and only recorded the
-    thread-pool speedup under ``speedup_total``; naming the mode in
-    every gate line keeps a mixed-history ``BENCH_perf.json`` readable.
+    Only the batch speedup is gated.  Old baselines also carry a
+    thread-pool ``speedup_total`` (the pool is retired) and the oldest
+    predate the batched engine, so they gate nothing end to end.
     """
-    modes = []
-    if baseline.get("speedup_total") is not None:
-        modes.append((f"threads x{baseline.get('parallel')}", "speedup_total"))
-    if baseline.get("speedup_batch") is not None:
-        modes.append(("batch", "speedup_batch"))
-    return modes
+    if baseline.get("speedup_batch") is None:
+        return []
+    return [("batch", "speedup_batch")]
 
 
 def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
@@ -1147,9 +1144,9 @@ def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
 
     A stage regresses when its wall-clock *fraction* grows by more than
     ``threshold`` relative plus a 5-point absolute floor (small stages
-    jitter); the end-to-end speedup of each mode the baseline recorded
-    (threads, batch) regresses when it drops more than ``threshold``
-    below the baseline's.  Every verdict names the mode it gates.
+    jitter); the end-to-end batch speedup regresses when it drops more
+    than ``threshold`` below the baseline's.  Every verdict names the
+    mode it gates.
     """
     failures = []
     for name, base in baseline.get("stages", {}).items():
@@ -1219,18 +1216,12 @@ def _load_bench_baseline(
 
 
 def _cmd_bench(args) -> int:
-    """Sequential vs cached vs parallel campaign benchmark + perf gate."""
+    """Sequential vs cached vs batch campaign benchmark + perf gate."""
     from repro.core.experiment import ExperimentTable
     from repro.perf import cache_stats, caching_disabled, clear_all_caches
 
-    import os
-
     nodes = args.nodes if args.nodes is not None else (2 if args.smoke else 10)
     rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
-    if args.parallel is None:
-        # Thread width beyond the core count only buys GIL thrash on
-        # this CPU-bound workload.
-        args.parallel = max(1, min(4, os.cpu_count() or 1))
     kill_at = None
     if args.kill_at:
         try:
@@ -1251,10 +1242,7 @@ def _cmd_bench(args) -> int:
             return 2
         _emit(f"injected slowdown: {args.inject}")
     try:
-        _emit(
-            f"bench: {nodes} nodes x {rounds} rounds, seed {args.seed}, "
-            f"parallel width {args.parallel}"
-        )
+        _emit(f"bench: {nodes} nodes x {rounds} rounds, seed {args.seed}")
         clear_all_caches()
         with caching_disabled():
             seq_s, seq_digest, _ = _bench_campaign(
@@ -1269,23 +1257,15 @@ def _cmd_bench(args) -> int:
         )
         _emit(f"cached:                 {cached_s:.2f} s")
         clear_all_caches()
-        par_s, par_digest, report = _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=args.parallel,
-            kill_at=kill_at,
-        )
-        _emit(f"cached + threads:       {par_s:.2f} s")
-        clear_all_caches()
         batch_sink: list = []
-        batch_s, batch_digest, _ = _bench_campaign(
+        batch_s, batch_digest, report = _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel="batch",
             kill_at=kill_at, reader_sink=batch_sink,
         )
         _emit(f"cached + batch:         {batch_s:.2f} s")
         engine = getattr(batch_sink[0], "_batch_engine", None)
         batch_stats = engine.stats.as_dict() if engine is not None else {}
-        identical = (
-            seq_digest == cached_digest == par_digest == batch_digest
-        )
+        identical = seq_digest == cached_digest == batch_digest
         stats = cache_stats()
         stages = _bench_stage_breakdown(args.seed, args.bitrate)
     finally:
@@ -1300,13 +1280,10 @@ def _cmd_bench(args) -> int:
         "rounds": rounds,
         "seed": args.seed,
         "bitrate": args.bitrate,
-        "parallel": args.parallel,
         "sequential_s": round(seq_s, 4),
         "cached_s": round(cached_s, 4),
-        "parallel_s": round(par_s, 4),
         "batch_s": round(batch_s, 4),
         "speedup_cached": round(seq_s / cached_s, 3),
-        "speedup_total": round(seq_s / par_s, 3),
         "speedup_batch": round(seq_s / batch_s, 3),
         "batch": batch_stats,
         "identical": identical,
@@ -1331,7 +1308,6 @@ def _cmd_bench(args) -> int:
     )
     table.add_row("sequential", record["sequential_s"], 1.0)
     table.add_row("cached", record["cached_s"], record["speedup_cached"])
-    table.add_row("cached+threads", record["parallel_s"], record["speedup_total"])
     table.add_row("cached+batch", record["batch_s"], record["speedup_batch"])
     _table(table.to_text())
     breakdown = ExperimentTable(
@@ -1389,16 +1365,15 @@ def _cmd_bench(args) -> int:
     if args.trend_out:
         path = _ensure_parent(args.trend_out)
         header = (
-            "smoke,nodes,rounds,seed,parallel,sequential_s,cached_s,"
-            "parallel_s,batch_s,speedup_cached,speedup_total,speedup_batch,"
+            "smoke,nodes,rounds,seed,sequential_s,cached_s,"
+            "batch_s,speedup_cached,speedup_batch,"
             + ",".join(f"frac_{n.split('.')[-1]}" for n in record["stages"])
         )
         row = ",".join(
             str(v) for v in (
-                int(record["smoke"]), nodes, rounds, args.seed, args.parallel,
+                int(record["smoke"]), nodes, rounds, args.seed,
                 record["sequential_s"], record["cached_s"],
-                record["parallel_s"], record["batch_s"],
-                record["speedup_cached"], record["speedup_total"],
+                record["batch_s"], record["speedup_cached"],
                 record["speedup_batch"],
             )
         ) + "," + ",".join(
@@ -1455,11 +1430,9 @@ def _cmd_profile(args) -> int:
        measured per-stage wall/CPU attribution;
     3. a cached sequential campaign with miss-cost timing — the
        per-cache time-saved estimates;
-    4. the same campaign on the thread pool — per-worker busy/idle,
-       queue wait, and the CPU/wall GIL-contention proxy.
+    4. the same campaign through the batched PHY engine — its window,
+       plan and group counters.
     """
-    import os
-
     from repro.core.experiment import ExperimentTable
     from repro.core.link import BackscatterLink
     from repro.net.messages import Command, Query
@@ -1479,12 +1452,7 @@ def _cmd_profile(args) -> int:
     nodes = args.nodes if args.nodes is not None else (2 if args.smoke else 10)
     rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
     repeats = args.repeats if args.repeats is not None else (2 if args.smoke else 5)
-    if args.parallel is None:
-        args.parallel = max(1, min(4, os.cpu_count() or 1))
-    _emit(
-        f"profile: {nodes} nodes x {rounds} rounds, seed {args.seed}, "
-        f"parallel width {args.parallel}"
-    )
+    _emit(f"profile: {nodes} nodes x {rounds} rounds, seed {args.seed}")
 
     # Pass 1 — deterministic attribution: the campaign under a unit-tick
     # VirtualClock.  Span timestamps are integers fixed by the seed, so
@@ -1493,7 +1461,7 @@ def _cmd_profile(args) -> int:
     clear_all_caches()
     tracer = Tracer(clock=VirtualClock(tick=1.0))
     flame_profiler = CampaignProfiler(memory=True)
-    _emit("pass 1/5: virtual-clock campaign (flamegraph + memory)")
+    _emit("pass 1/4: virtual-clock campaign (flamegraph + memory)")
     with use_tracer(tracer), use_profiler(flame_profiler):
         _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0
@@ -1533,7 +1501,7 @@ def _cmd_profile(args) -> int:
     # seeded exchange traced once per repeat under a perf_counter
     # tracer, then under a thread_time tracer (identical structure, so
     # the passes join by stage name).
-    _emit(f"pass 2/5: measured stage costs ({repeats} traced exchanges x2)")
+    _emit(f"pass 2/4: measured stage costs ({repeats} traced exchanges x2)")
     warm = _build_bench_fleet(1, args.seed, args.bitrate)
     ((warm_addr, warm_transact),) = warm.items()
     with caching_disabled():
@@ -1558,7 +1526,7 @@ def _cmd_profile(args) -> int:
     seq_transports = _build_bench_fleet(nodes, args.seed, args.bitrate)
     stats_before = cache_stats()
     seq_profiler = CampaignProfiler()
-    _emit("pass 3/5: cached sequential campaign (cache savings)")
+    _emit("pass 3/4: cached sequential campaign (cache savings)")
     with use_profiler(seq_profiler):
         seq_s, seq_digest, _ = _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0,
@@ -1569,26 +1537,10 @@ def _cmd_profile(args) -> int:
     )
     del seq_transports
 
-    # Pass 4 — the same campaign on the thread pool: per-worker
-    # busy/idle, queue wait, and the CPU/wall GIL proxy.
-    clear_all_caches()
-    par_profiler = CampaignProfiler()
-    _emit(f"pass 4/5: threaded campaign (width {args.parallel})")
-    with use_profiler(par_profiler):
-        par_s, par_digest, _ = _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=args.parallel
-        )
-    workers = par_profiler.worker_report()
-    busy_total = sum(w["busy_s"] for w in workers.values())
-    gil_ratio = (
-        sum(w["cpu_s"] for w in workers.values()) / busy_total
-        if busy_total else 0.0
-    )
-
-    # Pass 5 — the same campaign through the batched PHY engine:
+    # Pass 4 — the same campaign through the batched PHY engine:
     # window/plan/group attribution from the engine's own counters.
     clear_all_caches()
-    _emit("pass 5/5: batched campaign (engine attribution)")
+    _emit("pass 4/4: batched campaign (engine attribution)")
     batch_sink: list = []
     batch_s, batch_digest, _ = _bench_campaign(
         nodes, rounds, args.seed, args.bitrate, parallel="batch",
@@ -1597,8 +1549,8 @@ def _cmd_profile(args) -> int:
     engine = getattr(batch_sink[0], "_batch_engine", None)
     batch_stats = engine.stats.as_dict() if engine is not None else {}
 
-    if seq_digest != par_digest or seq_digest != batch_digest:
-        _emit("FAIL: sequential, threaded and batched campaigns disagree "
+    if seq_digest != batch_digest:
+        _emit("FAIL: sequential and batched campaigns disagree "
               "— reports are not byte-identical")
         return 1
 
@@ -1607,8 +1559,6 @@ def _cmd_profile(args) -> int:
         "hot_stage": hot,
         "hot_fraction": round(measured[hot]["fraction"], 4),
         "hot_cpu_wall_ratio": round(measured[hot]["cpu_wall_ratio"], 3),
-        "worker_gil_ratio": round(gil_ratio, 3),
-        "gil_bound": gil_ratio < 0.8,
     }
 
     summary = ExperimentTable(
@@ -1616,10 +1566,6 @@ def _cmd_profile(args) -> int:
         columns=("mode", "wall_s", "speedup"),
     )
     summary.add_row("sequential", round(seq_s, 4), 1.0)
-    summary.add_row(
-        f"threads x{args.parallel}", round(par_s, 4),
-        round(seq_s / par_s, 3),
-    )
     summary.add_row("batch", round(batch_s, 4), round(seq_s / batch_s, 3))
     _table(summary.to_text())
 
@@ -1633,18 +1579,6 @@ def _cmd_profile(args) -> int:
             entry["cpu_wall_ratio"], entry["fraction"],
         )
     _table(stage_tbl.to_text())
-
-    worker_tbl = ExperimentTable(
-        title="Worker attribution (parallel campaign)",
-        columns=("worker", "units", "busy_s", "queue_wait_s",
-                 "utilization", "cpu/wall"),
-    )
-    for name, w in workers.items():
-        worker_tbl.add_row(
-            name, w["units"], w["busy_s"], w["queue_wait_s"],
-            w["utilization"], w["gil_ratio"],
-        )
-    _table(worker_tbl.to_text())
 
     cache_tbl = ExperimentTable(
         title="Cache savings (cached sequential campaign)",
@@ -1680,12 +1614,6 @@ def _cmd_profile(args) -> int:
         f"hot stage: {hot} ({verdict['hot_fraction']:.0%} of transaction "
         f"wall, cpu/wall {verdict['hot_cpu_wall_ratio']:.2f})"
     )
-    _emit(
-        f"parallel workers: mean cpu/wall {gil_ratio:.2f} -> "
-        + ("GIL-bound (threads wait on the interpreter lock)"
-           if verdict["gil_bound"]
-           else "compute-bound (threads run mostly unblocked)")
-    )
 
     if args.out:
         record = {
@@ -1696,12 +1624,9 @@ def _cmd_profile(args) -> int:
             "rounds": rounds,
             "seed": args.seed,
             "bitrate": args.bitrate,
-            "parallel": args.parallel,
             "repeats": repeats,
             "cached_s": round(seq_s, 4),
-            "parallel_s": round(par_s, 4),
             "batch_s": round(batch_s, 4),
-            "speedup_parallel": round(seq_s / par_s, 3),
             "speedup_batch": round(seq_s / batch_s, 3),
             "batch": batch_stats,
             "identical": True,
@@ -1719,16 +1644,6 @@ def _cmd_profile(args) -> int:
             "stage_ticks": {
                 name: {"count": entry["count"], "ticks": entry["total_s"]}
                 for name, entry in sorted(tick_totals.items())
-            },
-            "workers": {
-                name: {
-                    "units": w["units"],
-                    "busy_s": round(w["busy_s"], 4),
-                    "queue_wait_s": round(w["queue_wait_s"], 4),
-                    "utilization": round(w["utilization"], 3),
-                    "gil_ratio": round(w["gil_ratio"], 3),
-                }
-                for name, w in workers.items()
             },
             "caches": {
                 name: {
@@ -2196,7 +2111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="sequential vs cached vs parallel campaign benchmark",
+        help="sequential vs cached vs batch campaign benchmark",
     )
     bench.add_argument("--nodes", type=int, default=None,
                        help="fleet size (default 10, or 2 with --smoke)")
@@ -2204,9 +2119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polling rounds (default 20, or 3 with --smoke)")
     bench.add_argument("--seed", type=int, default=2019)
     bench.add_argument("--bitrate", type=float, default=2_000.0)
-    bench.add_argument("--parallel", type=int, default=None,
-                       help="parallel reader width for the third mode "
-                            "(default: min(4, cpu count))")
     bench.add_argument("--smoke", action="store_true",
                        help="small fleet/campaign for CI smoke runs")
     bench.add_argument("--out", default=None,
@@ -2228,8 +2140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="deterministic campaign profiler: stage/worker attribution "
-             "+ flamegraph export",
+        help="deterministic campaign profiler: stage/cache/batch "
+             "attribution + flamegraph export",
     )
     profile.add_argument("--nodes", type=int, default=None,
                          help="fleet size (default 10, or 2 with --smoke)")
@@ -2237,9 +2149,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="polling rounds (default 20, or 3 with --smoke)")
     profile.add_argument("--seed", type=int, default=2019)
     profile.add_argument("--bitrate", type=float, default=2_000.0)
-    profile.add_argument("--parallel", type=int, default=None,
-                         help="worker width for the parallel attribution "
-                              "pass (default: min(4, cpu count))")
     profile.add_argument("--repeats", type=int, default=None,
                          help="traced exchanges per measured stage pass "
                               "(default 5, or 2 with --smoke)")

@@ -111,9 +111,8 @@ class EventLog:
     :class:`~repro.obs.stream.TelemetryBus` (duck-typed: anything with
     ``publish(kind, ...)`` and an ``enabled`` flag): every recorded
     event is also published as a ``kind="event"`` stream event.  The
-    parallel reader binds only the *shared* log (its staging logs stay
-    unbound), so streamed events appear in merge order — byte-identical
-    to sequential execution.
+    reader binds only the *shared* log (its per-poll staging logs stay
+    unbound), so streamed events appear in replay order.
     """
 
     events: list = field(default_factory=list)

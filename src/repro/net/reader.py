@@ -30,8 +30,8 @@ Campaigns are additionally crash-safe (:mod:`repro.resilience`):
   fault event + health failure instead of aborting the round;
 * shards whose workers keep crashing are **quarantined** (skipped, and
   reported) so one wedged transport cannot stall the fleet;
-* with a :class:`~repro.resilience.watchdog.WatchdogPolicy`, parallel
-  rounds abandon stragglers at their wall-clock deadline and book a
+* with a :class:`~repro.resilience.watchdog.WatchdogPolicy`, every
+  round abandons a poll at its wall-clock deadline and books a
   ``watchdog_timeout`` fault instead of hanging;
 * :meth:`ReaderController.snapshot` / :meth:`ReaderController.restore`
   serialise the complete campaign state, and
@@ -41,6 +41,8 @@ Campaigns are additionally crash-safe (:mod:`repro.resilience`):
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.faults.events import Event, EventLog
@@ -53,7 +55,6 @@ from repro.obs.analytics import publish_anomalies
 from repro.obs.profiler import get_profiler
 from repro.obs.stream import get_bus
 from repro.obs.trace import get_tracer
-from repro.perf.fleet import FleetEngine, auto_parallel_mode
 from repro.resilience.checkpoint import (
     checkpoint_path,
     read_checkpoint,
@@ -157,31 +158,24 @@ class ReaderController:
         :class:`~repro.resilience.supervisor.CampaignAbort` (the
         SIGKILL-equivalent) propagates.
     watchdog:
-        Optional :class:`~repro.resilience.watchdog.WatchdogPolicy`.
-        Enforced by the fleet engine in parallel mode: a transaction
-        (or round) that outlives its wall-clock budget is abandoned and
-        booked as a ``watchdog_timeout`` fault + health failure instead
-        of hanging the campaign.  Watchdog-tripped runs trade byte-
-        reproducibility for liveness (wall-clock is not virtual time).
+        Optional :class:`~repro.resilience.watchdog.WatchdogPolicy`,
+        enforced by the round loop in every mode: a poll (or round)
+        that outlives its wall-clock budget is abandoned and booked as
+        a ``watchdog_timeout`` fault + health failure instead of
+        hanging the campaign, and the node is not polled again while
+        the abandoned poll is still running.  Watchdog-tripped runs
+        trade byte-reproducibility for liveness (wall-clock is not
+        virtual time).
     parallel:
-        ``0`` (default) polls nodes sequentially.  ``N >= 1`` runs each
-        round's node transactions on an ``N``-wide thread pool
-        (:class:`~repro.perf.fleet.FleetEngine`): every node's events
-        and metrics go to private staging sinks that are replayed into
-        the shared log/registry in sorted-address order afterwards, so
-        campaign reports, event logs, and metrics are byte-identical
-        to sequential execution.  A seeded ``retry_policy`` is split
-        into per-node jitter streams
-        (:meth:`~repro.net.mac.RetryPolicy.for_node`) in *both* modes,
-        so backoff draws are a function of the node alone — never of
-        scheduling or polling order.  Rounds observed by an
-        enabled tracer or probe registry fall back to sequential
-        execution (same results; real per-stage timings).
-        ``"auto"`` picks between the two from benchmark evidence
-        (:func:`~repro.perf.fleet.auto_parallel_width`): fleets below
-        the observed thread crossover in ``BENCH_perf.json`` stay
-        cached-sequential, larger ones get a pool; the choice is
-        logged on ``repro.perf``.
+        ``0`` (default) polls nodes one after another in sorted-address
+        order.  ``"batch"`` adds the batched PHY prepass
+        (:class:`~repro.perf.batch.BatchedLinkEngine`) in front of the
+        same loop; its campaign reports, event logs and metrics are
+        byte-identical to ``0``.  Any other value raises
+        ``ValueError``.  A seeded ``retry_policy`` is split into
+        per-node jitter streams
+        (:meth:`~repro.net.mac.RetryPolicy.for_node`), so backoff draws
+        are a function of the node alone, never of polling order.
     bus:
         Optional :class:`~repro.obs.stream.TelemetryBus`; defaults to
         the process-global bus (disabled unless installed via
@@ -189,9 +183,9 @@ class ReaderController:
         the event log and publishes per-round ``soc``/``slo``/
         ``metrics``/``round`` events plus ``checkpoint`` markers and
         engine-level ``postmortem`` verdicts, flushing the bus's sinks
-        once per round.  All publication happens on the merge side
-        (after the parallel replay), so streams are byte-identical
-        across sequential, parallel, and resumed executions.
+        once per round.  Round telemetry is published after the round's
+        polls, so streams are byte-identical across execution modes
+        and resumed executions.
 
     When either ``ledgers`` or ``slo`` is given the reader also keeps
     ``round_log`` — the per-round outcome records the campaign
@@ -218,31 +212,26 @@ class ReaderController:
     ) -> None:
         if not transports:
             raise ValueError("need at least one node transport")
-        if parallel == "auto":
-            parallel = auto_parallel_mode(len(transports))
-        batch_mode = parallel == "batch"
-        if batch_mode:
-            # The batched engine is a prepass over the *sequential*
-            # round, not a pool: the round itself runs with parallel=0
-            # and replays the precomputed legs through the leg memos.
-            parallel = 0
+        if not (parallel == "batch" or (type(parallel) is int and parallel == 0)):
+            raise ValueError(
+                f"parallel must be 0 or 'batch', got {parallel!r}"
+            )
         self.log = log if log is not None else EventLog()
         self.metrics = metrics
         #: Telemetry bus (:mod:`repro.obs.stream`).  Defaults to the
         #: process-global bus, which is disabled unless the CLI (or a
         #: test) installed an enabled one — the publish calls below all
-        #: short-circuit in that case.  Round telemetry is published on
-        #: the merge side only (after the sorted-order replay in
-        #: parallel mode), so the stream is byte-identical across
-        #: sequential, parallel, and resumed executions.
+        #: short-circuit in that case.  Round telemetry is published
+        #: after the round's polls, so the stream is byte-identical
+        #: across execution modes and resumed executions.
         self.bus = bus if bus is not None else get_bus()
         if self.bus.enabled and getattr(self.log, "bus", None) is None:
             self.log.bus = self.bus
         self._stream_metrics_state: dict = {}   # not checkpointed: see _publish_metrics
         #: Optional :class:`repro.obs.analytics.AnomalyMonitor`.  Fed
-        #: once per round on the merge side (like the stream publish
+        #: once per round after the polls (like the stream publish
         #: calls), so the anomaly sequence is identical across
-        #: sequential, parallel, and resumed executions.  Costs one
+        #: execution modes and resumed executions.  Costs one
         #: ``is None`` check per round when absent.
         self.analytics = analytics
         self._checkpoint_dir = None
@@ -264,20 +253,9 @@ class ReaderController:
             health_policy if health_policy is not None else HealthPolicy()
         )
         self._round = 0
-        self.parallel = int(parallel)
-        self._engine = (
-            FleetEngine(max_workers=self.parallel)
-            if self.parallel >= 1
-            else None
-        )
-        #: Execution-mode label for bench/profile attribution.
-        self.parallel_mode = (
-            "batch" if batch_mode
-            else ("threads" if self.parallel >= 1 else "sequential")
-        )
         self._batch_engine = None
         self._campaign_rounds = None
-        if batch_mode:
+        if parallel == "batch":
             from repro.perf.batch import BatchedLinkEngine
 
             self._batch_engine = BatchedLinkEngine(self)
@@ -285,6 +263,9 @@ class ReaderController:
             supervisor if supervisor is not None else SupervisorPolicy()
         )
         self.watchdog = watchdog
+        #: addr -> (guard thread, WatchdogTimeout) of an abandoned poll;
+        #: the node is not polled again while that thread is alive.
+        self._hung: dict = {}
         #: Post-mortems of engine-level faults (worker crashes, watchdog
         #: timeouts) — kept here because those faults happen outside the
         #: probe-observed waveform pipeline.  Not part of :meth:`report`.
@@ -360,8 +341,8 @@ class ReaderController:
         that somehow pass the CRC are contained as failures rather than
         propagating parse errors.
 
-        ``_log``/``_metrics`` are the parallel round's staging sinks;
-        callers never pass them directly.
+        ``_log``/``_metrics`` are the round's staging sinks
+        (:meth:`_poll_staged`); callers never pass them directly.
         """
         log = _log if _log is not None else self.log
         metrics = _metrics if _metrics is not None else self.metrics
@@ -404,152 +385,79 @@ class ReaderController:
         airtime) until their probe backoff elapses, at which point they
         get one PING; an acknowledged probe restores them to HEALTHY.
 
-        With ``parallel=N`` the node transactions run concurrently on
-        the fleet engine and the round's telemetry is merged back in
-        sorted-address order (see :meth:`_poll_round_parallel`), unless
-        an enabled tracer or probe registry needs the serialised view.
+        Nodes are visited in sorted-address order.  Each node's
+        supervised poll runs as a staged unit (:meth:`_poll_staged`)
+        whose events and metrics are replayed into the shared sinks
+        right after it, so the log, registry and stream read exactly as
+        if the poll had written them directly.  With an armed
+        :class:`~repro.resilience.watchdog.WatchdogPolicy` the unit runs
+        on a one-shot guard thread (:meth:`_run_guarded`) and is
+        abandoned at its wall-clock deadline.
         """
-        if (
-            self._engine is not None
-            and not get_tracer().enabled
-            and not get_probes().enabled
-        ):
-            return self._poll_round_parallel(command)
         t = float(self._round)
         out = {}
         skipped_addrs = set()
         if self._batch_engine is not None:
             # Batched prepass: seed the leg memos and demod hints for
             # everything the coming window of rounds will compute, as
-            # stacked matrix kernels.  The sequential loop below then
-            # replays the round byte-identically (it bails out
-            # internally whenever the memo path itself is inactive).
+            # stacked matrix kernels.  The loop below then replays the
+            # round byte-identically (it bails out internally whenever
+            # the memo path itself is inactive).
             remaining = None
             if self._campaign_rounds is not None:
                 remaining = max(1, int(self._campaign_rounds) - self._round)
             self._batch_engine.prewarm_round(command, remaining=remaining)
+        watchdog = self.watchdog
+        if watchdog is not None and (
+            not watchdog.enabled or get_tracer().enabled or get_probes().enabled
+        ):
+            # Tracer spans and probe taps keep a single-threaded stack,
+            # so observed rounds poll inline, unguarded.
+            watchdog = None
+        round_ends = None
+        if watchdog is not None and watchdog.round_deadline_s is not None:
+            round_ends = time.monotonic() + watchdog.round_deadline_s
         with get_tracer().span(
             "reader.poll_round", round=self._round, nodes=len(self._macs)
         ) as span:
-            skipped = 0
             for addr in sorted(self._macs):
-                if addr in self._quarantined_shards:
-                    out[addr] = None
-                    skipped += 1
+                out[addr] = None
+                health = self.nodes[addr].health
+                if addr in self._quarantined_shards or (
+                    health.state is HealthState.QUARANTINED
+                    and not health.due_for_probe(t)
+                ):
                     skipped_addrs.add(addr)
                     continue
-                health = self.nodes[addr].health
-                if health.state is HealthState.QUARANTINED:
-                    if health.due_for_probe(t):
-                        health.start_probe(t)
-                        self.log.record(t, addr, "probe")
-                        poll_command = Command.PING
-                    else:
-                        out[addr] = None
-                        skipped += 1
-                        skipped_addrs.add(addr)
+                hung = self._hung.get(addr)
+                if hung is not None:
+                    if hung[0].is_alive():
+                        # The abandoned poll is still inside this node's
+                        # transport: never enter it from a second thread.
+                        self._note_watchdog(addr, t, hung[1])
                         continue
-                else:
-                    poll_command = command
-                reading, outcome = supervise(
-                    lambda a=addr, c=poll_command: self.poll(a, c),
-                    self.supervisor,
-                )
-                out[addr] = reading
-                self._note_supervision(addr, t, outcome)
-            span.set(
-                delivered=sum(1 for r in out.values() if r is not None),
-                skipped_quarantined=skipped,
-            )
-        self._finish_round(t, out, skipped_addrs)
-        return out
-
-    def _poll_round_parallel(self, command: Command) -> dict:
-        """One polling round across the fleet engine's thread pool.
-
-        Each node's transaction runs in a worker with *staging* sinks:
-        a private :class:`EventLog` (so event ordering can't interleave
-        across nodes) and a private :class:`MetricsRegistry` (so the
-        non-atomic counter increments can't race).  A node's MAC and
-        health machine are touched only by that node's worker, so
-        repointing their sinks for the duration of the unit is safe.
-
-        The merge replays each staging log into the shared log and
-        absorbs each staging registry in sorted-address order — the
-        exact order the sequential loop visits nodes — which renumbers
-        event sequence numbers and applies gauge writes exactly as
-        sequential execution would have.  The result dict, event log,
-        metrics, and downstream reports are byte-identical to
-        ``parallel=0`` for the same seed.
-        """
-        t = float(self._round)
-
-        def make_unit(addr: int):
-            def unit():
-                stage_log = EventLog()
-                stage_metrics = (
-                    MetricsRegistry() if self.metrics is not None else None
-                )
-                mac = self._macs[addr]
-                health = self.nodes[addr].health
-                saved = (mac.log, mac.metrics, health.log)
-                mac.log, mac.metrics, health.log = (
-                    stage_log, stage_metrics, stage_log,
-                )
-                staged_chain = self._stage_transport_log(mac, stage_log)
-                try:
-                    if health.state is HealthState.QUARANTINED:
-                        if health.due_for_probe(t):
-                            health.start_probe(t)
-                            stage_log.record(t, addr, "probe")
-                            poll_command = Command.PING
-                        else:
-                            return None, stage_log, stage_metrics, True, None
-                    else:
-                        poll_command = command
-                    # Supervised restarts re-poll into the SAME staging
-                    # sinks, so the merged telemetry is identical to what
-                    # the sequential supervisor produces.
-                    reading, outcome = supervise(
-                        lambda: self.poll(
-                            addr, poll_command,
-                            _log=stage_log, _metrics=stage_metrics,
-                        ),
-                        self.supervisor,
-                    )
-                    return reading, stage_log, stage_metrics, False, outcome
-                finally:
-                    mac.log, mac.metrics, health.log = saved
-                    for obj in staged_chain:
-                        obj.log = self.log
-
-            return unit
-
-        units = {
-            addr: make_unit(addr)
-            for addr in self._macs
-            if addr not in self._quarantined_shards
-        }
-        out = {}
-        skipped_addrs = set()
-        with get_tracer().span(
-            "reader.poll_round", round=self._round, nodes=len(self._macs)
-        ) as span:
-            for addr in sorted(self._quarantined_shards):
-                if addr in self._macs:
-                    out[addr] = None
-                    skipped_addrs.add(addr)
-            for addr, payload in self._engine.run_round(
-                units, watchdog=self.watchdog
-            ):
-                if isinstance(payload, WatchdogTimeout):
-                    out[addr] = None
-                    self._note_watchdog(addr, t, payload)
+                    del self._hung[addr]
+                if round_ends is not None and time.monotonic() >= round_ends:
+                    self._note_watchdog(addr, t, WatchdogTimeout(
+                        key=addr, budget="round",
+                        deadline_s=watchdog.round_deadline_s,
+                    ))
                     continue
-                reading, stage_log, stage_metrics, was_skipped, outcome = payload
-                out[addr] = reading
-                if was_skipped:
-                    skipped_addrs.add(addr)
+                poll_command = command
+                if health.state is HealthState.QUARANTINED:
+                    health.start_probe(t)
+                    self.log.record(t, addr, "probe")
+                    poll_command = Command.PING
+                if watchdog is None:
+                    staged = self._poll_staged(addr, poll_command)
+                else:
+                    staged = self._run_guarded(
+                        addr, poll_command, watchdog, round_ends
+                    )
+                    if isinstance(staged, WatchdogTimeout):
+                        self._note_watchdog(addr, t, staged)
+                        continue
+                reading, outcome, stage_log, stage_metrics, error = staged
                 # Replay: record() renumbers seq and fires the bound
                 # pab_events_total counters (the staging log was
                 # unbound, so each event is counted exactly once).
@@ -557,6 +465,9 @@ class ReaderController:
                     self.log.record(e.t, e.node, e.kind, **dict(e.detail))
                 if stage_metrics is not None:
                     self.metrics.absorb(stage_metrics)
+                if error is not None:
+                    raise error
+                out[addr] = reading
                 self._note_supervision(addr, t, outcome)
             span.set(
                 delivered=sum(1 for r in out.values() if r is not None),
@@ -565,28 +476,82 @@ class ReaderController:
         self._finish_round(t, out, skipped_addrs)
         return out
 
-    def _stage_transport_log(self, mac, stage_log) -> list:
-        """Repoint shared-log references along a node's transport chain.
+    def _poll_staged(self, addr: int, command: Command) -> tuple:
+        """One node's supervised poll against private staging sinks.
 
-        Fault injectors (:mod:`repro.faults.injectors`, including the
-        supervisor's :class:`WorkerCrashInjector`) are constructed with
-        the *shared* event log and write fault events from inside the
-        transaction — which, in a worker thread, would interleave with
-        other nodes' events nondeterministically.  Walk the ``transact``
-        chain via ``inner`` and swap every ``log`` attribute that *is*
-        the shared log to the worker's staging log; the caller restores
-        them in its ``finally``.  Returns the objects that were staged.
+        The poll writes to a private :class:`EventLog` and
+        :class:`MetricsRegistry` instead of the shared ones; the node's
+        MAC and health machine are repointed for the duration and
+        restored afterwards.  So is every fault injector along the
+        ``transact`` chain (followed via ``inner``) that holds the
+        shared log: injectors book fault events from inside the
+        transaction, and staging them keeps those events in order with
+        the poll's own.  Returns
+        ``(reading, outcome, stage_log, stage_metrics, error)`` for
+        :meth:`poll_round` to replay.  Nothing escapes: an exception
+        (a :class:`CampaignAbort`, say) comes back as ``error`` so the
+        events booked before it are replayed before it is re-raised.
+        Supervised restarts re-poll into the same staging sinks.
         """
-        staged = []
+        stage_log = EventLog()
+        stage_metrics = MetricsRegistry() if self.metrics is not None else None
+        mac = self._macs[addr]
+        health = self.nodes[addr].health
+        saved = (mac.log, mac.metrics, health.log)
+        mac.log, mac.metrics, health.log = stage_log, stage_metrics, stage_log
+        staged_chain, seen = [], set()
         obj = mac.transact
-        seen = set()
         while obj is not None and id(obj) not in seen:
             seen.add(id(obj))
             if getattr(obj, "log", None) is self.log:
                 obj.log = stage_log
-                staged.append(obj)
+                staged_chain.append(obj)
             obj = getattr(obj, "inner", None)
-        return staged
+        reading = outcome = error = None
+        try:
+            reading, outcome = supervise(
+                lambda: self.poll(
+                    addr, command, _log=stage_log, _metrics=stage_metrics
+                ),
+                self.supervisor,
+            )
+        except BaseException as exc:  # re-raised by poll_round after replay
+            error = exc
+        finally:
+            mac.log, mac.metrics, health.log = saved
+            for obj in staged_chain:
+                obj.log = self.log
+        return reading, outcome, stage_log, stage_metrics, error
+
+    def _run_guarded(self, addr: int, command: Command, watchdog, round_ends):
+        """Run :meth:`_poll_staged` on a one-shot guard thread.
+
+        Joins for the transaction budget, or for what is left of the
+        round budget when that is shorter.  A poll that outlives the
+        join is abandoned and a :class:`WatchdogTimeout` returned; its
+        thread is remembered so the node is not polled again while the
+        abandoned poll is still inside the transport.
+        """
+        timeout = watchdog.transaction_deadline_s
+        budget, deadline = "transaction", timeout
+        if round_ends is not None:
+            remaining = max(round_ends - time.monotonic(), 0.0)
+            if timeout is None or remaining < timeout:
+                timeout = remaining
+                budget, deadline = "round", watchdog.round_deadline_s
+        box = []
+        guard = threading.Thread(
+            target=lambda: box.append(self._poll_staged(addr, command)),
+            name=f"watchdog-{addr}",
+            daemon=True,
+        )
+        guard.start()
+        guard.join(timeout)
+        if guard.is_alive():
+            timed_out = WatchdogTimeout(key=addr, budget=budget, deadline_s=deadline)
+            self._hung[addr] = (guard, timed_out)
+            return timed_out
+        return box[0]
 
     def _observe_round(self, t: float, out: dict, skipped: set) -> dict:
         """Feed energy harnesses + SLO tracker and log the round."""
@@ -621,10 +586,9 @@ class ReaderController:
         return record
 
     def _finish_round(self, t: float, out: dict, skipped: set) -> None:
-        """Shared tail of both poll_round paths: round bookkeeping plus
-        (when an enabled bus is attached) the round's stream events and
-        sink flush.  Runs after the parallel merge, so the published
-        stream is identical to sequential execution."""
+        """Tail of :meth:`poll_round`: round bookkeeping plus (when an
+        enabled bus is attached) the round's stream events and sink
+        flush."""
         record = None
         if self._track_rounds:
             record = self._observe_round(t, out, skipped)
@@ -635,10 +599,9 @@ class ReaderController:
         profiler = get_profiler()
         profile_snapshot = None
         if profiler.enabled:
-            # Merge side, after the parallel replay: sequential and
-            # parallel campaigns mark identical round boundaries, so a
-            # profile's structure (and, under a virtual clock, its
-            # bytes) does not depend on the execution mode.
+            # After the round's polls: every mode marks identical round
+            # boundaries, so a profile's structure (and, under a
+            # virtual clock, its bytes) does not depend on the mode.
             profile_snapshot = profiler.on_round(t)
             if self.bus.enabled:
                 self.bus.publish(
@@ -675,7 +638,7 @@ class ReaderController:
         this round, one ``slo`` sample, one ``metrics`` delta, and one
         ``round`` record carrying the timeline outcomes plus each
         node's cumulative MAC counters.  Everything is derived from the
-        already-merged shared sinks, never from worker state.
+        already-replayed shared sinks, never from staging sinks.
         """
         rnd = int(t)
         for addr in sorted(self.ledgers):
@@ -973,9 +936,8 @@ class ReaderController:
     def _note_supervision(self, addr: int, t: float, outcome) -> None:
         """Book a poll's supervision outcome into the shared telemetry.
 
-        Runs on the merge side in parallel mode (sorted-address order),
-        so restart/crash events land exactly where the sequential
-        supervisor would put them.
+        Runs right after the poll's staged events are replayed, so
+        restart/crash events follow the poll's own events.
         """
         if outcome is None:
             return
@@ -1036,10 +998,10 @@ class ReaderController:
             self.bus.publish(
                 "postmortem", t=t, node=addr, source="reader", data=pm.to_dict()
             )
-        # The abandoned worker is a zombie still holding this node's
-        # staging sinks; repoint the health log at the shared log so the
-        # state transition is visible.  (The zombie's cleanup restores
-        # the shared log again whenever it finally unblocks.)
+        # An abandoned poll still holds this node's staging sinks;
+        # repoint the health log at the shared log so the state
+        # transition is visible.  (The poll's cleanup restores the
+        # shared log again whenever it finally unblocks.)
         self.nodes[addr].health.log = self.log
         self._fail_node(addr, t)
         self._bump_crash_streak(addr, t)
@@ -1088,7 +1050,7 @@ class ReaderController:
         The command goes through the MAC but bypasses health accounting
         (a failed downgrade must not recursively degrade the node);
         unacknowledged downgrades are retried before the node's next
-        sensing poll.  ``_log`` is the parallel round's staging log.
+        sensing poll.  ``_log`` is the round's staging log.
         """
         log = _log if _log is not None else self.log
         record = self.nodes[address]

@@ -273,9 +273,10 @@ class MetricsRegistry:
         Counters and histograms accumulate exactly as in :meth:`merge`;
         gauges are *last-write-wins* — each operand's gauge overwrites
         the current value, in operand order.  This is the merge the
-        parallel reader uses to replay per-node staging registries:
-        replaying them in sorted node order reproduces what sequential
-        execution would have written, including the final gauge values.
+        reader's round loop uses to replay each poll's staging registry
+        right after the poll: replaying them in sorted node order
+        reproduces what writing the shared registry directly would
+        have, including the final gauge values.
         """
         for source in others:
             for key, metric in source._metrics.items():

@@ -197,9 +197,9 @@ class ProbeRegistry:
         """File a :class:`~repro.obs.postmortem.DecodePostmortem`.
 
         Also publishes the verdict on the process-global telemetry bus
-        (``kind="postmortem"``) when one is enabled — probes force the
-        reader into sequential mode, so the publication order is
-        deterministic.
+        (``kind="postmortem"``) when one is enabled — probed rounds
+        poll inline in sorted-address order, so the publication order
+        is deterministic.
         """
         self.postmortems.append(postmortem)
         from repro.obs.stream import get_bus

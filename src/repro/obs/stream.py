@@ -60,19 +60,21 @@ kind               source     data payload
                               node, SLO burn, cumulative MAC counters
 ``postmortem``     obs        one :class:`~repro.obs.postmortem.DecodePostmortem`
 ``checkpoint``     reader     checkpoint file written (path, round)
-``pool_rebuild``   fleet      the engine replaced a watchdog-tainted pool
+``pool_rebuild``   fleet      retired: a thread pool replaced after a watchdog
+                              breach; nothing publishes it now, older streams
+                              still replay
 ``profile``        profiler   one per-round profiler snapshot (stage deltas,
-                              worker busy/CPU samples, memory high-water) from
+                              memory high-water) from
                               :meth:`repro.obs.profiler.CampaignProfiler.on_round`
 ``anomaly``        analytics  one online-detector hit (series, node, stage,
                               detector, severity, score) from
                               :class:`repro.obs.analytics.AnomalyMonitor`
 =================  =========  ==================================================
 
-Determinism: the reader publishes only from merge-side code paths (the
-shared event log, the per-round observer) in sorted-address order, so
-sequential and ``parallel=N`` campaigns produce byte-identical
-streams.  Replaying a stream through :class:`StreamAggregator` is
+Determinism: the reader publishes only from the shared event log (each
+node's staged events replayed right after its poll) and the per-round
+observer, in sorted-address order, so ``parallel=0`` and ``"batch"``
+campaigns produce byte-identical streams.  Replaying a stream through :class:`StreamAggregator` is
 *idempotent* — events are keyed (log seq, round number, (node, round))
 with last-write-wins — so a stream appended across a crash/resume
 boundary still reduces to exactly the batch end state.
@@ -549,7 +551,7 @@ class StreamAggregator:
             )
             self._anomalies[key] = event
         elif kind in EVENT_KINDS:
-            pass    # known kind with no reduced state (pool_rebuild)
+            pass    # known kind with no reduced state (retired pool_rebuild)
         elif kind is not None:
             # Forward compatibility: skip-and-count kinds from newer
             # producers instead of treating schema-1's kind set as

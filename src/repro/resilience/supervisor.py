@@ -25,7 +25,7 @@ from the CLI.
 
 Determinism: restarts re-enter the same poll with the same staging
 sinks, so a contained crash produces byte-identical campaign digests in
-sequential and parallel modes — asserted by
+every execution mode — asserted by
 ``tests/resilience/test_supervisor.py``.
 """
 
@@ -225,8 +225,8 @@ def install_worker_crash(
     ``rounds=(8,)`` crashes the node's worker during polling round 8 in
     every execution mode.  The injector books no events itself (the
     reader's supervision bookkeeping owns ``worker_restart`` /
-    ``worker_crash`` telemetry), which keeps sequential and parallel
-    digests identical under contained crashes.
+    ``worker_crash`` telemetry), which keeps digests identical across
+    execution modes under contained crashes.
     """
     addr = int(node)
     if addr not in reader._macs:

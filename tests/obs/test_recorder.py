@@ -5,9 +5,9 @@ dying campaign can leave its final moments on disk.  The guarantees:
 
 * the ring NEVER exceeds its capacity, no matter how long the campaign
   (a 1k-round chaos campaign here);
-* with the same seed, the dump is byte-identical between sequential
-  and ``parallel=N`` execution — the recorder sees the merge-side
-  stream, which is itself mode-independent;
+* with the same seed, the dump is byte-identical between
+  ``parallel=0`` and ``"batch"`` execution — the recorder sees the
+  replayed stream, which is itself mode-independent;
 * a fatal :class:`CampaignAbort` dumps the ring next to the campaign's
   checkpoints (``flight-recorder-NNNNNN.jsonl``).
 """
@@ -44,7 +44,7 @@ def _stub(address):
     return transact
 
 
-def _chaos_reader(seed, log, *, nodes=4, ledgers=True):
+def _chaos_reader(seed, log, *, nodes=4, ledgers=True, parallel=0):
     transports, harnesses = {}, {}
     for addr in range(1, nodes + 1):
         inner = _stub(addr)
@@ -74,6 +74,7 @@ def _chaos_reader(seed, log, *, nodes=4, ledgers=True):
         metrics=MetricsRegistry(),
         ledgers=harnesses if ledgers else None,
         slo=SLOTracker(window=10) if ledgers else None,
+        parallel=parallel,
     )
 
 
@@ -113,27 +114,21 @@ class TestRing:
 
 
 class TestDeterminism:
-    def _dump(self, parallel):
+    def _dump(self, parallel=0):
         recorder = FlightRecorder(capacity=128)
         bus = TelemetryBus(sinks=[recorder])
         with use_bus(bus):
-            reader = _chaos_reader(9, EventLog())
-            if parallel:
-                from repro.perf.fleet import FleetEngine
-
-                reader.parallel = parallel
-                reader._engine = FleetEngine(max_workers=parallel)
+            reader = _chaos_reader(9, EventLog(), parallel=parallel)
             reader.run_campaign(Command.READ_TEMPERATURE, 25)
         return recorder.to_jsonl()
 
     def test_dump_byte_identical_sequential_vs_parallel(self):
         sequential = self._dump(0)
         assert sequential  # non-empty: the ring saw the campaign
-        for width in (1, 4):
-            assert self._dump(width) == sequential, f"width {width}"
+        assert self._dump("batch") == sequential
 
     def test_dump_repeatable(self):
-        assert self._dump(2) == self._dump(2)
+        assert self._dump() == self._dump()
 
 
 class TestCrashDump:

@@ -1,4 +1,4 @@
-"""Tests for the parallel fleet engine and the parallel reader mode."""
+"""The reader's round loop: per-poll staging, merge primitives, modes."""
 
 import json
 
@@ -10,45 +10,7 @@ from repro.net import Command, HealthPolicy, ReaderController, RetryPolicy
 from repro.net.mac import MacStats
 from repro.node.node import Environment, PABNode
 from repro.obs import MetricsRegistry, metrics_to_prometheus
-from repro.perf import FleetEngine
 from repro.sensing.pressure import WaterColumn
-
-
-class TestFleetEngine:
-    def test_results_in_key_order(self):
-        engine = FleetEngine(max_workers=4)
-        out = engine.run_round({3: lambda: "c", 1: lambda: "a", 2: lambda: "b"})
-        assert out == [(1, "a"), (2, "b"), (3, "c")]
-
-    def test_accepts_item_iterable(self):
-        engine = FleetEngine(max_workers=2)
-        out = engine.run_round([(2, lambda: 20), (1, lambda: 10)])
-        assert out == [(1, 10), (2, 20)]
-
-    def test_empty_round(self):
-        assert FleetEngine().run_round({}) == []
-
-    def test_first_error_in_key_order_wins(self):
-        def boom(msg):
-            def fn():
-                raise RuntimeError(msg)
-            return fn
-
-        engine = FleetEngine(max_workers=4)
-        with pytest.raises(RuntimeError, match="first"):
-            engine.run_round({2: boom("second"), 1: boom("first")})
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            FleetEngine(max_workers=0)
-
-    def test_shutdown_idempotent(self):
-        engine = FleetEngine(max_workers=1)
-        engine.run_round({1: lambda: 1})
-        engine.shutdown()
-        engine.shutdown()
-        # The pool is recreated on demand after shutdown.
-        assert engine.run_round({1: lambda: 2}) == [(1, 2)]
 
 
 class TestRetryPolicyForNode:
@@ -126,26 +88,20 @@ def _campaign_blob(parallel, *, rounds=12, n=6, seed=11):
 
 
 class TestParallelReaderIdentity:
-    """parallel=N must be byte-identical to the sequential loop."""
-
-    def test_parallel_widths_match_sequential(self):
-        sequential = _campaign_blob(0)
-        for width in (1, 2, 4):
-            assert _campaign_blob(width) == sequential, f"width {width}"
-
     def test_parallel_campaign_repeatable(self):
-        assert _campaign_blob(2) == _campaign_blob(2)
+        # Stub links: the batch planner declines them, but its per-round
+        # prepass still runs and must leave the campaign repeatable.
+        assert _campaign_blob("batch") == _campaign_blob("batch")
 
 
 def _injector_campaign_blob(parallel, *, rounds=14, n=5, seed=13):
     """A campaign whose fault injectors hold the SHARED event log.
 
-    Regression guard: injectors write fault events from inside the
-    transaction, so in parallel mode their log references must be
-    staged per worker (``ReaderController._stage_transport_log``) or
-    the shared log interleaves nondeterministically across nodes —
-    which is exactly how chaos fleets (``repro fleet-report``) wire
-    them, and what this blob proves stays byte-identical.
+    Injectors write fault events from inside the transaction, so their
+    log references must be staged with the rest of the poll
+    (``ReaderController._poll_staged``) or their events jump
+    ahead of the MAC events the same poll booked before them — which
+    is exactly how chaos fleets (``repro fleet-report``) wire them.
     """
     from repro.faults import BrownoutInjector, NoiseBurstInjector
 
@@ -185,13 +141,22 @@ def _injector_campaign_blob(parallel, *, rounds=14, n=5, seed=13):
 
 
 class TestParallelInjectorIdentity:
-    """Shared-log fault injectors must not break parallel identity."""
+    """Shared-log fault injectors keep their place in the event order."""
 
     def test_injector_chain_logs_staged_per_worker(self):
         sequential = _injector_campaign_blob(0)
         assert "injector=" in sequential  # the chaos actually fired
-        for width in (1, 2, 4):
-            assert _injector_campaign_blob(width) == sequential, f"width {width}"
+        # Node 1's first noise-burst poll: each attempt's injected fault
+        # precedes the MAC's retry/backoff for that attempt.  Unstaged
+        # injectors would book all three faults ahead of the retries.
+        node1 = [
+            line.split()[3] for line in sequential.splitlines()
+            if line[:6].isdigit() and " node=1 " in line
+        ]
+        assert node1[:7] == [
+            "fault", "retry", "backoff", "fault", "retry", "backoff", "fault",
+        ]
+        assert _injector_campaign_blob("batch") == sequential
 
     def test_injector_chain_restored_after_round(self):
         from repro.faults import NoiseBurstInjector
@@ -202,14 +167,28 @@ class TestParallelInjectorIdentity:
             log=log, seed=3,
         )
         reader = ReaderController(
-            {1: inner}, log=log, parallel=2,
+            {1: inner}, log=log,
             retry_policy=RetryPolicy(
                 max_retries=1, base_backoff_s=0.05, jitter=0.25, seed=3
             ),
         )
         reader.poll_round(Command.READ_PH)
-        # After the merge, the injector points at the shared log again.
+        # After the replay, the injector points at the shared log again.
         assert inner.log is log
+
+
+class TestExecutionModes:
+    @pytest.mark.parametrize(
+        "parallel", [-2, 1, 2, "auto", "thread", "0", 0.0, None, True]
+    )
+    def test_rejected_values(self, parallel):
+        with pytest.raises(ValueError, match="parallel must be 0 or 'batch'"):
+            ReaderController({1: SeededFlakyTransport(1)}, parallel=parallel)
+
+    @pytest.mark.parametrize("parallel", [0, "batch"])
+    def test_accepted_values(self, parallel):
+        reader = ReaderController({1: SeededFlakyTransport(1)}, parallel=parallel)
+        assert (reader._batch_engine is not None) == (parallel == "batch")
 
 
 class TestMergePrimitives:

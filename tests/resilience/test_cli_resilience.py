@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import _load_bench_baseline, _parse_kill_at, main
+from repro.cli import _bench_gate, _load_bench_baseline, _parse_kill_at, main
 from repro.resilience import write_checkpoint
 
 pytestmark = pytest.mark.resilience
@@ -105,6 +105,22 @@ class TestBenchBaselineGuards:
         assert record is None
         assert "nodes=100, rounds=3, seed=2019" in problem
         assert "\n" not in problem
+
+
+class TestBenchGateModes:
+    """Only the batch speedup is gated end to end."""
+
+    BASE = {"smoke": False, "stages": {}, "speedup_batch": 10.0,
+            "parallel": 4, "speedup_total": 8.0}
+
+    def test_retired_thread_speedup_is_not_gated(self):
+        current = {"stages": {}, "speedup_batch": 10.0}
+        assert _bench_gate(current, self.BASE, 0.25) == []
+
+    def test_batch_speedup_regression_trips(self):
+        current = {"stages": {}, "speedup_batch": 7.0}
+        failures = _bench_gate(current, self.BASE, 0.25)
+        assert len(failures) == 1 and failures[0].startswith("batch:")
 
 
 class TestCheckpointFlags:

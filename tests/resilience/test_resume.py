@@ -66,14 +66,14 @@ class TestResumeIdentity:
         assert campaign_digest(report, tlog, tmetrics) == clean
 
     def test_parallel_resume_matches_sequential_clean(self, tmp_path):
-        """Mode-mixing: checkpoint sequentially, resume in parallel."""
+        """Mode-mixing: checkpoint sequentially, resume in batch mode."""
         clean = run_clean()
         reader, _, _ = build_fleet()
         reader.run_campaign(
             Command.READ_TEMPERATURE, rounds=ROUNDS,
             checkpoint_every=6, checkpoint_dir=tmp_path,
         )
-        twin, tlog, tmetrics = build_fleet(parallel=2)
+        twin, tlog, tmetrics = build_fleet(parallel="batch")
         report = twin.run_campaign(
             Command.READ_TEMPERATURE, rounds=ROUNDS,
             resume_from=checkpoint_path(tmp_path, 6),

@@ -330,7 +330,8 @@ class TestStreamingCli:
         ]) == 0
         text = capsys.readouterr().out
         assert "Per-stage attribution" in text
-        assert "Worker attribution" in text
+        assert "Batched engine attribution" in text
+        assert "Worker attribution" not in text
         assert "Cache savings" in text
         assert "hot stage: link." in text
 
@@ -338,6 +339,8 @@ class TestStreamingCli:
         assert record["benchmark"] == "profile"
         assert record["flame_agreement"] <= 0.01
         assert record["verdict"]["hot_stage"].startswith("link.")
+        assert not {"parallel", "parallel_s", "workers"} & set(record)
+        assert "gil_bound" not in record["verdict"]
         assert set(record["stages"]) == {
             "link.pwm_synthesis", "link.downlink_propagation", "link.node",
             "link.uplink_propagation", "link.hydrophone_dsp",
