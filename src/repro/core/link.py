@@ -128,6 +128,21 @@ def apply_reradiation_filter(
     return scipy.fft.irfft(scipy.fft.rfft(x, n=m) * response, n=m)[:n]
 
 
+def decoded_segment(direct, uplink, analysis_start: int) -> np.ndarray:
+    """The quiet hydrophone mixture over the span the receiver decodes.
+
+    ``(direct + uplink)[analysis_start:]``, the two arrivals zero-extended
+    to the longer.  Every exchange implementation (uncached, leg memo,
+    batched engine) mixes through this one function, element by element
+    in the same order, so their segments agree bit for bit.
+    """
+    n = max(len(direct), len(uplink))
+    segment = np.zeros(n - analysis_start)
+    segment[: len(direct) - analysis_start] += direct[analysis_start:]
+    segment[: len(uplink) - analysis_start] += uplink[analysis_start:]
+    return segment
+
+
 @dataclass
 class LinkBudget:
     """Narrowband link budget summary (fast, no waveforms).
@@ -559,8 +574,10 @@ class BackscatterLink:
         )
         if self.node_velocity_mps:
             # A drifting node Doppler-dilates its reflection (the direct
-            # carrier is unaffected).  One-way Doppler is applied here;
-            # the downlink leg's shift is second-order for the envelope.
+            # carrier is unaffected), about the waveform's first sample —
+            # the carrier turn-on for the uplink leg.  One-way Doppler is
+            # applied here; the downlink leg's shift is second-order for
+            # the envelope.
             from repro.acoustics.doppler import apply_doppler
 
             moved = apply_doppler(
@@ -571,43 +588,70 @@ class BackscatterLink:
             reflected = moved[: len(reflected)]
         return reflected
 
-    def _carrier_leg(
-        self, query: Query, n_chips: int, bitrate: float
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """The reply-payload-independent half of the uplink leg.
+    def _uplink_transmit(
+        self, n_chips: int, bitrate: float
+    ) -> tuple[np.ndarray, int, int]:
+        """The uplink leg's transmit and the bounds of the receiver window.
 
-        Everything here depends only on the query, the reply *length*,
-        and the bitrate — not on which chips the node actually sends:
-        the transmit waveform, its propagation to the node (as the
-        analytic signal the reflection modulates, computed at the padded
-        :func:`fast_length`) and to the hydrophone (the direct carrier),
-        and the timing offsets.  Splitting this out of the uplink memo
-        means a node whose sensor reading drifts between rounds only
-        recomputes the chip-dependent tail, not the Hilbert transform
-        and two channel convolutions.  The batched engine computes the
-        same tuple row by row (``_batch_carrier_legs``).
+        The uplink leg starts at the carrier turn-on, and every index
+        returned counts from there.  The PWM query before it belongs to
+        the downlink leg, which the node decodes; the hydrophone decodes
+        only ``recording[analysis_start:]``.  Inside that span the
+        direct carrier depends on carrier samples alone: the
+        projector-to-hydrophone impulse response (1,073 taps on the
+        bench layout) is shorter than the 1,440-sample settle gap before
+        ``analysis_start``, so the direct arrival matches the
+        full-transmission one to rounding.  The backscatter keeps a
+        faint memory of the query (the idle reflection of its tail,
+        spread by the analytic and re-radiation transforms): at most
+        3.6e-3 of its RMS on the bench fleet, ≈ −49 dB.  In exchange
+        every uplink transform runs on the ~9k-sample window instead of
+        the whole ~88k-sample transmission.
 
-        Returns ``(analytic, direct, reply_start, analysis_start)``.
+        Returns ``(carrier, reply_start, analysis_start)``: the
+        continuous-wave transmit; the sample at which the node starts
+        backscattering (carrier arrival at the node plus half the guard
+        margin); and the first decoded sample (carrier arrival at the
+        hydrophone plus 0.3 of the margin, once the turn-on edge — a
+        huge amplitude step that would dominate the modulation-axis
+        estimate — has settled, and before the reply begins).
         """
         fs = self.sample_rate
-        chip_rate = 2.0 * bitrate
-        uplink_s = n_chips / chip_rate + self.UPLINK_MARGIN_S
-        tx, uplink_start = self.projector.query_then_carrier(query, uplink_s, fs)
-        incident = self._node_incident(tx)
+        uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
+        carrier = self.projector.carrier_waveform(uplink_s, fs)
         delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
-        reply_start = (
-            uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
-        )
-        analytic = analytic_signal(incident)
-        direct = (
-            self.beam_gain_hydrophone
-            * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
-        )
+        reply_start = delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
         delay_ph = int(
             round(self.ch_projector_hydrophone.direct_path.delay_s * fs)
         )
-        analysis_start = (
-            uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
+        analysis_start = delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
+        return carrier, reply_start, analysis_start
+
+    def _carrier_leg(
+        self, n_chips: int, bitrate: float
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """The reply-payload-independent half of the uplink leg.
+
+        Everything here depends only on the reply *length* and the
+        bitrate — not on which chips the node actually sends: the
+        carrier transmit of :meth:`_uplink_transmit`, its propagation to
+        the node (as the analytic signal the reflection modulates,
+        computed at the padded :func:`fast_length`) and to the
+        hydrophone (the direct carrier), and the window bounds.
+        Splitting this out of the uplink memo means a node
+        whose sensor reading drifts between rounds only recomputes the
+        chip-dependent tail, not the Hilbert transform and two channel
+        convolutions.  The batched engine computes the same tuple row by
+        row (``_batch_carrier_legs``).
+
+        Returns ``(analytic, direct, reply_start, analysis_start)``,
+        each over the window that starts at the carrier turn-on.
+        """
+        tx, reply_start, analysis_start = self._uplink_transmit(n_chips, bitrate)
+        analytic = analytic_signal(self._node_incident(tx))
+        direct = (
+            self.beam_gain_hydrophone
+            * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
         )
         return analytic, direct, reply_start, analysis_start
 
@@ -616,15 +660,17 @@ class BackscatterLink:
         leg: tuple[np.ndarray, np.ndarray, int, int],
         chips,
         bitrate: float,
-    ) -> tuple[np.ndarray, int]:
-        """The chip-dependent tail of the uplink leg.
+    ) -> np.ndarray:
+        """The chip-dependent tail of the uplink leg: the decoded segment.
 
         Modulates the memoized analytic incident with this reply's
         reflection trajectory, re-radiates it, propagates it to the
-        hydrophone, and mixes it with the direct carrier — the same
+        hydrophone, and mixes it with the direct carrier over the span
+        the receiver decodes (:func:`decoded_segment`) — the same
         operations, in the same order, on the same inputs as the
-        original single-shot leg computation, so the resulting quiet
-        mixture is byte-identical.
+        uncached exchange, so the quiet segment is byte-identical.  Only
+        this segment is memoized: it is all the ambient noise and the
+        demodulator ever touch.
         """
         analytic, direct, reply_start, analysis_start = leg
         reflected = self._backscatter_waveform(
@@ -633,11 +679,7 @@ class BackscatterLink:
         uplink = self.ch_node_hydrophone.apply(
             reflected, include_noise=False
         ).waveform
-        n = max(len(direct), len(uplink))
-        mixture = np.zeros(n)
-        mixture[: len(direct)] += direct
-        mixture[: len(uplink)] += uplink
-        return mixture, analysis_start
+        return decoded_segment(direct, uplink, analysis_start)
 
     # -- the exchange ----------------------------------------------------------------------
 
@@ -686,7 +728,7 @@ class BackscatterLink:
         The exchange is traced as a ``link.transact`` root span with the
         five pipeline stages (:attr:`STAGES`) as children; a stage the
         exchange revisits (PWM synthesis runs once for the node-decode
-        leg and once for the full transmission) simply emits another
+        leg and once for the uplink carrier) simply emits another
         span with the same name, and per-stage reports aggregate by
         name.
 
@@ -732,9 +774,10 @@ class BackscatterLink:
 
         Every waveform between the projector and the hydrophone is a
         pure function of (query, reply chips, node config) except the
-        ambient noise, which is added after the memoized pre-noise
-        mixture is retrieved.  Node firmware still executes for real
-        where it mutates state — power-up, command handling, and reply
+        ambient noise, which is drawn over the memoized quiet segment
+        (the span the receiver decodes) after it is retrieved.  Node
+        firmware still executes for real where it mutates state —
+        power-up, command handling, and reply
         framing — and the noise stream advances exactly once per
         exchange, as in the uncached path, so a cached campaign is
         byte-identical to an uncached one.
@@ -792,12 +835,12 @@ class BackscatterLink:
         mode = self.node.firmware.config.resonance_mode
 
         uplink_key = ("uplink", query, chips.tobytes(), bitrate, mode)
-        quiet_mixture, analysis_start = self._leg_memo.get_or_compute(
+        quiet = self._leg_memo.get_or_compute(
             uplink_key,
             lambda: self._finish_uplink_leg(
                 self._leg_memo.get_or_compute(
                     ("carrier", query, len(chips), bitrate),
-                    lambda: self._carrier_leg(query, len(chips), bitrate),
+                    lambda: self._carrier_leg(len(chips), bitrate),
                 ),
                 chips,
                 bitrate,
@@ -812,7 +855,7 @@ class BackscatterLink:
         ) if self._batch_hints else None
         if hint is not None:
             # The batched prepass already ran this exact exchange tail:
-            # same quiet mixture, same noise-stream position.  Reuse its
+            # same quiet segment, same noise-stream position.  Reuse its
             # demodulation verbatim and advance the noise RNG to where
             # drawing the samples would have left it — byte-identical to
             # the inline path, which the prepass computed with the same
@@ -820,12 +863,11 @@ class BackscatterLink:
             noise_after, demod = hint
             self.noise.restore_state(noise_after)
         else:
-            mixture = quiet_mixture + self.noise.generate(
-                len(quiet_mixture), fs
+            recording = self.hydrophone.record(
+                quiet + self.noise.generate(len(quiet), fs)
             )
-            recording = self.hydrophone.record(mixture)
             demod = self.hydrophone.demodulate(
-                recording[analysis_start:],
+                recording,
                 f,
                 bitrate,
                 packet_format=uplink_format,
@@ -926,20 +968,19 @@ class BackscatterLink:
                 waveform=np.asarray(chips, dtype=float),
                 chips=len(chips),
             )
-        chip_rate = 2.0 * self.node.bitrate
-        uplink_s = len(chips) / chip_rate + self.UPLINK_MARGIN_S
 
-        # 4. Full transmission and physical propagation.
-        with tracer.span("link.pwm_synthesis", segment="query_then_carrier") as sp:
-            tx, uplink_start = self.projector.query_then_carrier(
-                query, uplink_s, fs
+        # 4. The uplink leg, from the carrier turn-on (see _uplink_transmit).
+        with tracer.span("link.pwm_synthesis", segment="carrier") as sp:
+            tx, reply_start, analysis_start = self._uplink_transmit(
+                len(chips), self.node.bitrate
             )
             sp.set(samples=len(tx))
         if probes.wants("link.pwm_synthesis"):
             probes.capture(
                 "link.pwm_synthesis", "tx_waveform",
-                waveform=tx, sample_rate=fs, segment="query_then_carrier",
-                uplink_start=int(uplink_start),
+                waveform=tx, sample_rate=fs, segment="carrier",
+                reply_start=int(reply_start),
+                analysis_start=int(analysis_start),
             )
         with tracer.span(
             "link.downlink_propagation", segment="carrier", samples=len(tx)
@@ -953,11 +994,6 @@ class BackscatterLink:
                 band_snr_db=band_snr_db(incident, fs, lo, hi),
             )
         with tracer.span("link.node", phase="backscatter", chips=len(chips)):
-            delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
-            # The node waits half the margin after the query before replying.
-            reply_start = (
-                uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
-            )
             reflected = self._backscatter_waveform(incident, chips, reply_start)
             self.node.firmware.response_sent()
         if probes.wants("link.node"):
@@ -967,7 +1003,10 @@ class BackscatterLink:
                 reply_start=int(reply_start), chips=len(chips),
             )
 
-        # 5. Hydrophone mixture: direct + backscatter + noise.
+        # 5. Hydrophone mixture over the decoded span: direct + backscatter
+        # + noise.  The query portion of the recording is never built (its
+        # PWM edges would confuse the modulation extractor; the paper's
+        # offline decoder likewise cuts the reply out by its FFT energy).
         with tracer.span("link.uplink_propagation", samples=len(tx)):
             direct = self.beam_gain_hydrophone * self.ch_projector_hydrophone.apply(
                 tx, include_noise=False
@@ -975,44 +1014,30 @@ class BackscatterLink:
             uplink = self.ch_node_hydrophone.apply(
                 reflected, include_noise=False
             ).waveform
-            n = max(len(direct), len(uplink))
-            mixture = np.zeros(n)
-            mixture[: len(direct)] += direct
-            mixture[: len(uplink)] += uplink
-            mixture += self.noise.generate(n, fs)
+            segment = decoded_segment(direct, uplink, analysis_start)
+            segment += self.noise.generate(len(segment), fs)
         if probes.wants("link.uplink_propagation"):
+            chip_rate = 2.0 * self.node.bitrate
             chip_band = (
                 max(f - chip_rate, 10.0),
                 min(f + chip_rate, fs / 2.0 - 1.0),
             )
             probes.capture(
                 "link.uplink_propagation", "hydrophone_mixture",
-                waveform=mixture, sample_rate=fs,
-                band_snr_db=band_snr_db(mixture, fs, *chip_band),
+                waveform=segment, sample_rate=fs,
+                band_snr_db=band_snr_db(segment, fs, *chip_band),
                 uplink_rms_pa=float(np.sqrt(np.mean(uplink**2)))
                 if len(uplink) else 0.0,
                 direct_rms_pa=float(np.sqrt(np.mean(direct**2)))
                 if len(direct) else 0.0,
             )
 
-        # 6. Receiver decode: skip the query portion of the recording (the
-        # PWM edges would confuse the modulation extractor), as the
-        # paper's offline decoder does by segmenting on the FFT energy.
-        with tracer.span("link.hydrophone_dsp", samples=len(mixture)) as sp:
-            recording = self.hydrophone.record(mixture)
-            # Analyse from after the carrier's turn-on edge has settled at
-            # the hydrophone (the edge is a huge amplitude step that would
-            # dominate the modulation-axis estimate) but before the node's
-            # reply begins at margin/2.
-            delay_ph = int(
-                round(self.ch_projector_hydrophone.direct_path.delay_s * fs)
-            )
-            analysis_start = (
-                uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
-            )
+        # 6. Receiver decode.
+        with tracer.span("link.hydrophone_dsp", samples=len(segment)) as sp:
+            recording = self.hydrophone.record(segment)
             uplink_format = self.node.firmware.config.uplink_format
             demod = self.hydrophone.demodulate(
-                recording[analysis_start:],
+                recording,
                 f,
                 self.node.bitrate,
                 packet_format=uplink_format,
@@ -1030,7 +1055,7 @@ class BackscatterLink:
             probes.capture(
                 "link.hydrophone_dsp", "analysis_segment",
                 analysis_start=int(analysis_start),
-                samples=len(recording) - int(analysis_start),
+                samples=len(recording),
                 crc_ok=demod.success, snr_db=demod.snr_db, ber=ber,
                 predicted_snr_db=budget.predicted_snr_db,
                 error=demod.error or "",

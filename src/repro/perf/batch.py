@@ -33,14 +33,14 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   batched primitive is bit-identical to its per-row form (asserted in
   ``tests/perf/test_batch.py``), so a seeded memo entry is
   indistinguishable from one the sequential path would have computed.
-* **Demodulate** (phase B2): with the quiet mixtures known, draw each
-  link's ambient noise from its own seeded stream — one segment per
-  planned exchange, in round order, restoring the RNG afterwards so the
-  live rounds still observe the exact same stream positions — run the
-  fleet-wide demod front-end as batched downconvert + filter passes
-  plus fleet-wide FM0 preamble correlations, finish each row's
-  data-dependent decode tail, and stash the result as a *hint* keyed
-  ``(uplink key, noise RNG token)`` on the link.
+* **Demodulate** (phase B2): with the quiet decoded segments known,
+  draw each link's ambient noise over them from its own seeded stream —
+  one segment per planned exchange, in round order, restoring the RNG
+  afterwards so the live rounds still observe the exact same stream
+  positions — run the fleet-wide demod front-end as batched downconvert
+  + filter passes plus fleet-wide FM0 preamble correlations, finish
+  each row's data-dependent decode tail, and stash the result as a
+  *hint* keyed ``(uplink key, noise RNG token)`` on the link.
 * **Over-provision for retries**: a retransmission rebuilds the node's
   reply and draws the next noise segment, so it consumes the *next*
   planned exchange's hint — reading stream and noise stream shift in
@@ -69,7 +69,7 @@ import numpy as np
 import scipy.fft
 from scipy.signal import fftconvolve, hilbert
 
-from repro.core.link import BackscatterLink, fast_length
+from repro.core.link import BackscatterLink, decoded_segment, fast_length
 from repro.dsp.filters import butter_bandpass, butter_lowpass, envelope_detect
 from repro.dsp.sync import batched_preamble_correlation, correct_cfo, estimate_cfo
 from repro.dsp.waveforms import downconvert
@@ -118,8 +118,7 @@ class _NodePlan:
     uplink_missing: bool = False
     # Phase B scratch:
     leg: tuple | None = None
-    mixture: np.ndarray | None = None
-    analysis_start: int = 0
+    segment: np.ndarray | None = None
 
 
 @dataclass
@@ -547,24 +546,20 @@ class BatchedLinkEngine:
     def _batch_carrier_legs(self, plans: list) -> None:
         """Batched transmit-side legs: incident and direct channel stages.
 
-        The projector waveform and the analytic (Hilbert) transform stay
-        per-row — the hilbert transform gains nothing from stacking on
-        one core — but both propagation convolutions run as one
+        The carrier transmit and window bounds
+        (:meth:`BackscatterLink._uplink_transmit`) and the analytic
+        (Hilbert) transform stay per-row — the hilbert transform gains
+        nothing from stacking on one core — but both propagation
+        convolutions, over the window from the carrier turn-on, run as one
         (N, samples) ``fftconvolve`` per equal-shape group, exactly as
         :meth:`BackscatterLink._carrier_leg` computes them row by row.
         """
         if not plans:
             return
-        rows = []
-        for plan in plans:
-            link = plan.link
-            fs = link.sample_rate
-            chip_rate = 2.0 * plan.bitrate
-            uplink_s = len(plan.chips) / chip_rate + link.UPLINK_MARGIN_S
-            tx, uplink_start = link.projector.query_then_carrier(
-                plan.query, uplink_s, fs
-            )
-            rows.append((plan, tx, uplink_start))
+        rows = [
+            (plan, *plan.link._uplink_transmit(len(plan.chips), plan.bitrate))
+            for plan in plans
+        ]
         groups = _grouped(
             rows,
             lambda r: (
@@ -577,52 +572,28 @@ class BatchedLinkEngine:
             self.stats.groups.get("carrier", 0) + len(groups)
         )
         for group in groups.values():
-            tx_stack = np.stack([tx for _plan, tx, _s in group])
+            tx_stack = np.stack([row[1] for row in group])
             ir_pn = np.stack(
-                [p.link.ch_projector_node._impulse for p, _tx, _s in group]
+                [row[0].link.ch_projector_node._impulse for row in group]
             )
             ir_ph = np.stack(
-                [
-                    p.link.ch_projector_hydrophone._impulse
-                    for p, _tx, _s in group
-                ]
+                [row[0].link.ch_projector_hydrophone._impulse for row in group]
             )
-            g_node = np.array(
-                [p.link.beam_gain_node for p, _tx, _s in group]
-            )
+            g_node = np.array([row[0].link.beam_gain_node for row in group])
             g_hyd = np.array(
-                [p.link.beam_gain_hydrophone for p, _tx, _s in group]
+                [row[0].link.beam_gain_hydrophone for row in group]
             )
             incidents = g_node[:, None] * fftconvolve(tx_stack, ir_pn, axes=-1)
             directs = g_hyd[:, None] * fftconvolve(tx_stack, ir_ph, axes=-1)
-            for (plan, _tx, uplink_start), incident, direct in zip(
+            for (plan, _tx, *bounds), incident, direct in zip(
                 group, incidents, directs
             ):
-                link = plan.link
-                fs = link.sample_rate
-                delay_pn = int(
-                    round(link.ch_projector_node.direct_path.delay_s * fs)
-                )
-                reply_start = (
-                    uplink_start + delay_pn
-                    + int(link.UPLINK_MARGIN_S / 2 * fs)
-                )
                 # core.link.analytic_signal, inlined so a tracer bound to
                 # this module's ``hilbert`` sees the call.
                 n = len(incident)
                 analytic = hilbert(incident, N=fast_length(n))[:n]
-                delay_ph = int(
-                    round(
-                        link.ch_projector_hydrophone.direct_path.delay_s * fs
-                    )
-                )
-                analysis_start = (
-                    uplink_start + delay_ph
-                    + int(0.3 * link.UPLINK_MARGIN_S * fs)
-                )
-                link._leg_memo.put(
-                    plan.carrier_key,
-                    (analytic, direct, reply_start, analysis_start),
+                plan.link._leg_memo.put(
+                    plan.carrier_key, (analytic, direct, *bounds)
                 )
                 self.stats.carriers_batched += 1
 
@@ -635,7 +606,8 @@ class BatchedLinkEngine:
         a per-row response multiply, one stacked irfft trimmed back to
         the waveform length, per equal-length group.  Rows of a drifting
         (Doppler) link fall back to the link's own per-row tail, and
-        every plan ends holding its quiet mixture for the demod prepass.
+        every plan ends holding its quiet decoded segment
+        (:func:`~repro.core.link.decoded_segment`) for the demod prepass.
         """
         tails, seen_inline = [], []
         for plan in plans:
@@ -644,7 +616,7 @@ class BatchedLinkEngine:
             plan.leg = memo.get_or_compute(
                 plan.carrier_key,
                 lambda plan=plan: plan.link._carrier_leg(
-                    plan.query, len(plan.chips), plan.bitrate
+                    len(plan.chips), plan.bitrate
                 ),
             )
             if not plan.uplink_missing:
@@ -652,13 +624,12 @@ class BatchedLinkEngine:
                 # earlier in the window: resolved after the batch below.
                 seen_inline.append(plan)
             elif link.node_velocity_mps:
-                mixture, start = memo.get_or_compute(
+                plan.segment = memo.get_or_compute(
                     plan.uplink_key,
                     lambda plan=plan: plan.link._finish_uplink_leg(
                         plan.leg, plan.chips, plan.bitrate
                     ),
                 )
-                plan.mixture, plan.analysis_start = mixture, start
                 self.stats.tails_inline += 1
             else:
                 tails.append(plan)
@@ -697,28 +668,18 @@ class BatchedLinkEngine:
                 )
                 uplinks = fftconvolve(filtered, ir_nh, axes=-1)
                 for plan, uplink in zip(group, uplinks):
-                    direct = plan.leg[1]
-                    total = max(len(direct), len(uplink))
-                    mixture = np.zeros(total)
-                    mixture[: len(direct)] += direct
-                    mixture[: len(uplink)] += uplink
-                    plan.link._leg_memo.put(
-                        plan.uplink_key, (mixture, plan.leg[3])
+                    plan.segment = decoded_segment(
+                        plan.leg[1], uplink, plan.leg[3]
                     )
-                    plan.mixture = mixture
-                    plan.analysis_start = plan.leg[3]
+                    plan.link._leg_memo.put(plan.uplink_key, plan.segment)
                     self.stats.tails_batched += 1
         for plan in seen_inline:
-            mixture, start = plan.link._leg_memo.get_or_compute(
+            plan.segment = plan.link._leg_memo.get_or_compute(
                 plan.uplink_key,
                 lambda plan=plan: plan.link._finish_uplink_leg(
                     plan.leg, plan.chips, plan.bitrate
                 ),
             )
-            plan.mixture, plan.analysis_start = mixture, start
-
-    # -- phase B2: batched demodulation ----------------------------------------------
-
 
     # -- phase B2: batched demodulation ----------------------------------------------
 
@@ -754,8 +715,8 @@ class BatchedLinkEngine:
             planned = 0
             try:
                 for plan in link_plans:
-                    if plan.mixture is None:
-                        # No mixture means no live noise draw to mirror;
+                    if plan.segment is None:
+                        # No segment means no live noise draw to mirror;
                         # later rounds' stream positions are unknowable.
                         break
                     token = link._noise_token()
@@ -766,17 +727,14 @@ class BatchedLinkEngine:
                         link.noise.restore_state(hint[0])
                         self.stats.demods_carried += 1
                         continue
-                    # The stream must advance by the full recording
-                    # length (live draws the whole mixture), but only
-                    # the analysis tail is ever demodulated — and
-                    # record() is elementwise, so slicing first is
-                    # bit-identical.
-                    noise = link.noise.generate(len(plan.mixture), fs)
-                    after = link.noise.snapshot_state()
-                    start = plan.analysis_start
+                    # The live exchange draws noise over exactly the
+                    # decoded segment, so this draw leaves the stream
+                    # where the live draw will.
                     seg = link.hydrophone.record(
-                        plan.mixture[start:] + noise[start:]
+                        plan.segment
+                        + link.noise.generate(len(plan.segment), fs)
                     )
+                    after = link.noise.snapshot_state()
                     dem = link.hydrophone.demodulator(
                         link.projector.carrier_hz,
                         plan.bitrate,

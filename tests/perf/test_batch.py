@@ -501,53 +501,63 @@ class TestPaddedTransforms:
         assert len(lengths) == 2 * len(raw)              # one hilbert, one rfft
         assert all(_is_5_smooth(int(n)) for n in lengths), sorted(set(lengths))
 
-    def test_padded_vs_circular_difference_in_analysis_window(self):
-        """The numerical change of padding, on record: inside the
-        receiver's analysis window the quiet mixture moves by less than
-        1e-4 of the backscatter's RMS."""
-        from scipy.signal import hilbert
+    def test_windowed_vs_full_length_in_analysis_window(self):
+        """The numerical change of the receiver window, on record.
 
+        On every 7th node of the 100-node bench fleet, the uplink leg
+        built from the carrier turn-on is compared with the same leg
+        built from the whole query + carrier transmission, over the
+        analysis window: the direct carrier agrees to rounding and the
+        backscatter moves by well under 1e-2 of its RMS (≤ 3.6e-3
+        measured)."""
+        from repro.cli import _build_bench_fleet
+        from repro.core.link import decoded_segment
         from repro.net import Command, Query
 
-        transports = _waveform_transports(n=2)
-        for addr, transact in transports.items():
-            link = resolve_link(transact)
-            query = Query(destination=addr, command=Command.READ_PH)
+        links = [
+            resolve_link(t)
+            for _a, t in sorted(_build_bench_fleet(100, 2019, BITRATE).items())
+        ]
+        for link in links[::7]:
+            query = Query(destination=int(link.node.address), command=Command.READ_PH)
             link.node.force_power(True)
             chips = link.node.uplink_chips(link.node.respond(query))
-            leg = link._carrier_leg(query, len(chips), BITRATE)
+            leg = link._carrier_leg(len(chips), BITRATE)
             analytic, direct, reply_start, analysis_start = leg
-            padded, _ = link._finish_uplink_leg(leg, chips, BITRATE)
+            uplink = link.ch_node_hydrophone.apply(
+                link._backscatter_waveform(
+                    analytic, chips, reply_start, analytic=analytic, bitrate=BITRATE
+                ),
+                include_noise=False,
+            ).waveform
+            assert np.array_equal(
+                link._finish_uplink_leg(leg, chips, BITRATE),
+                decoded_segment(direct, uplink, analysis_start),
+            )
 
-            # The previous circular form: transforms at the raw length.
+            # The full-length reference: the query stays in front.
             uplink_s = len(chips) / (2.0 * BITRATE) + link.UPLINK_MARGIN_S
-            tx, _ = link.projector.query_then_carrier(
+            tx, start = link.projector.query_then_carrier(
                 query, uplink_s, link.sample_rate
             )
-            incident = link._node_incident(tx)
-            n = len(incident)
-            gamma = link._gamma_trajectory(n, chips, reply_start, BITRATE)
-            reflected = np.real(gamma * hilbert(incident))
-            freqs = np.fft.rfftfreq(n, 1.0 / link.sample_rate)
-            transducer = link.node.transducer
-            response = np.ones_like(freqs)
-            response[1:] = transducer.response(freqs[1:])
-            response = np.minimum(
-                response / float(transducer.response(link.projector.carrier_hz)),
-                1.0,
-            )
-            filtered = scipy.fft.irfft(scipy.fft.rfft(reflected) * response, n=n)
-            uplink = link.ch_node_hydrophone.apply(
-                filtered, include_noise=False
+            full_direct = link.beam_gain_hydrophone * link.ch_projector_hydrophone.apply(
+                tx, include_noise=False
             ).waveform
-            circular = np.zeros(len(padded))
-            circular[: len(direct)] += direct
-            circular[: len(uplink)] += uplink
+            full_uplink = link.ch_node_hydrophone.apply(
+                link._backscatter_waveform(
+                    link._node_incident(tx), chips, start + reply_start, bitrate=BITRATE
+                ),
+                include_noise=False,
+            ).waveform
 
-            window = slice(analysis_start, None)
-            backscatter = padded[window] - np.pad(
-                direct, (0, len(padded) - len(direct))
-            )[window]
-            scale = np.sqrt(np.mean(backscatter**2))
-            diff = np.max(np.abs(padded[window] - circular[window]))
-            assert 0 < diff < 1e-4 * scale, (addr, diff, scale)
+            window = slice(start + analysis_start, None)
+            ref_direct, ref_uplink = full_direct[window], full_uplink[window]
+            got_direct = direct[analysis_start:]
+            got_uplink = uplink[analysis_start:]
+            assert len(got_direct) == len(ref_direct)
+            assert len(got_uplink) == len(ref_uplink)
+            peak = np.max(np.abs(ref_direct))
+            assert np.max(np.abs(got_direct - ref_direct)) < 1e-12 * peak
+            scale = np.sqrt(np.mean(ref_uplink**2))
+            diff = np.max(np.abs(got_uplink - ref_uplink))
+            assert 0 < diff < 1e-2 * scale, (link.node.address, diff, scale)
