@@ -1432,6 +1432,9 @@ def _cmd_profile(args) -> int:
        per-cache time-saved estimates;
     4. the same campaign through the batched PHY engine — its window,
        plan and group counters.
+
+    Exits 1 unless passes 1, 3 and 4 give the same campaign digest:
+    neither tracing nor the batched engine may change the run.
     """
     from repro.core.experiment import ExperimentTable
     from repro.core.link import BackscatterLink
@@ -1463,7 +1466,7 @@ def _cmd_profile(args) -> int:
     flame_profiler = CampaignProfiler(memory=True)
     _emit("pass 1/4: virtual-clock campaign (flamegraph + memory)")
     with use_tracer(tracer), use_profiler(flame_profiler):
-        _bench_campaign(
+        _, traced_digest, _ = _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0
         )
     doc = speedscope_document(
@@ -1549,9 +1552,14 @@ def _cmd_profile(args) -> int:
     engine = getattr(batch_sink[0], "_batch_engine", None)
     batch_stats = engine.stats.as_dict() if engine is not None else {}
 
-    if seq_digest != batch_digest:
-        _emit("FAIL: sequential and batched campaigns disagree "
-              "— reports are not byte-identical")
+    digests = {
+        "traced": traced_digest, "cached": seq_digest, "batch": batch_digest,
+    }
+    if len(set(digests.values())) > 1:
+        _emit(
+            "FAIL: campaign digests differ across passes: "
+            + ", ".join(f"{mode} {d[:12]}" for mode, d in digests.items())
+        )
         return 1
 
     hot = max(sorted(measured), key=lambda name: measured[name]["fraction"])

@@ -745,7 +745,7 @@ class ReaderController:
         campaign: dict | None = None,
         resume_from=None,
     ) -> dict:
-        """A full resilient campaign: ``rounds`` rounds, then a report.
+        """A full resilient campaign up to ``rounds`` rounds, then a report.
 
         Unlike raw :meth:`run_schedule` this is the deployment loop:
         transport exceptions are contained, dead nodes are quarantined
@@ -759,6 +759,10 @@ class ReaderController:
         already-read checkpoint document) before running the remaining
         rounds; a resumed campaign's report, event log, and digest are
         byte-identical to an uninterrupted run.
+
+        ``rounds`` is the campaign total, counted from its first round:
+        a second call continues up to it, and raises ``ValueError`` if
+        that many rounds have already run.
         """
         if rounds < 1:
             raise ValueError("need at least one round")
@@ -775,6 +779,11 @@ class ReaderController:
                 else read_checkpoint(resume_from)
             )
             self.restore(doc["state"])
+        if rounds <= self._round:
+            raise ValueError(
+                f"rounds={rounds} is the campaign total, and {self._round} "
+                "rounds have already run"
+            )
         self._campaign_rounds = rounds
         try:
             while self._round < rounds:

@@ -51,7 +51,7 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   stays covered by precomputed work.
 
 The live sequential rounds then simply hit the seeded memos, and
-``BackscatterLink._run_stages_cached`` consumes a hint only when the
+``BackscatterLink.run_query`` consumes a hint only when the
 exchange is about to draw the very noise samples the prepass drew.  Any
 divergence — an injected fault, a MAC retry, a mid-round
 reconfiguration, a checkpoint restore — misses the token and falls back
@@ -296,10 +296,11 @@ class BatchedLinkEngine:
 
         Returns the number of exchanges planned (0 on the in-window
         rounds that were already hinted).  Safe to call unconditionally:
-        bails out whenever the sequential path would not use the leg
-        memo — caching disabled, tracing or probing enabled — because
-        then there is nothing byte-identical to seed.  ``remaining``
-        caps the window at the campaign rounds actually left.
+        bails out whenever the live exchange would not read the leg memo
+        — caching disabled or probes enabled — because then there is
+        nothing to seed, and while a tracer is enabled, because the
+        stacked kernels carry no stage spans.  ``remaining`` caps the
+        window at the campaign rounds actually left.
         """
         if not cache_enabled() or get_tracer().enabled or get_probes().enabled:
             return 0

@@ -116,6 +116,18 @@ class TestPolling:
         with pytest.raises(ValueError):
             reader.run_schedule(Command.PING, rounds=0)
 
+    def test_run_campaign_rounds_is_the_total(self):
+        transport = StubNodeTransport(1)
+        reader = ReaderController({1: transport})
+        reader.run_campaign(Command.READ_PH, rounds=4)
+        assert transport.calls == 4
+        with pytest.raises(ValueError, match=r"rounds=4 .* 4 rounds"):
+            reader.run_campaign(Command.READ_PH, rounds=4)
+        assert transport.calls == 4
+        report = reader.run_campaign(Command.READ_PH, rounds=6)
+        assert transport.calls == 6
+        assert report["rounds"] == 6
+
     def test_summary(self):
         reader = ReaderController({1: StubNodeTransport(1)})
         reader.set_bitrate(1, BITRATE_TABLE[5])

@@ -106,8 +106,18 @@ class TestBatchIdentity:
     """``parallel="batch"`` is byte-identical to the sequential loop."""
 
     def test_batch_matches_sequential(self):
-        sequential = _campaign_digest(0)
-        assert _campaign_digest("batch") == sequential
+        # Each link's final noise-stream position too: the digest
+        # carries no SNR or BER, so it cannot see a shifted noise draw.
+        runs = {}
+        for parallel in (0, "batch"):
+            transports = _waveform_transports()
+            digest = _campaign_digest(parallel, transports=transports)
+            noise = {
+                addr: resolve_link(transact).noise.snapshot_state()
+                for addr, transact in transports.items()
+            }
+            runs[parallel] = digest, noise
+        assert runs["batch"] == runs[0]
 
     def test_worker_crash_containment_identical(self):
         """A contained worker crash mid-window tears the plan down;

@@ -3,9 +3,10 @@ span the hydrophone decodes.
 
 The uplink leg starts at the carrier turn-on and ambient noise is drawn
 over ``recording[analysis_start:]`` alone.  These tests pin the contract
-every exchange implementation shares — the uncached stages, the leg
-memo and the batched engine's hints — so that the noise stream, and
-with it every campaign digest, stays identical across execution modes.
+every way an exchange runs shares — computed legs (caching disabled,
+or probes enabled), memoized legs, and the batched engine's hints — so
+that the noise stream, and with it every campaign digest, stays
+identical across execution modes.
 """
 
 import contextlib
@@ -22,7 +23,13 @@ from repro.faults import (
     TransportExceptionInjector,
 )
 from repro.net import Command, Query, ReaderController, RetryPolicy
-from repro.obs import MetricsRegistry, Tracer, use_tracer
+from repro.obs import (
+    MetricsRegistry,
+    ProbeRegistry,
+    Tracer,
+    use_probes,
+    use_tracer,
+)
 from repro.perf.batch import resolve_link
 from repro.perf.cache import caching_disabled
 from repro.resilience import campaign_digest
@@ -84,8 +91,12 @@ class TestNoiseStreamContract:
 
     @pytest.mark.parametrize(
         "context",
-        [caching_disabled, lambda: use_tracer(Tracer())],
-        ids=["uncached", "traced"],
+        [
+            caching_disabled,
+            lambda: use_tracer(Tracer()),
+            lambda: use_probes(ProbeRegistry()),
+        ],
+        ids=["uncached", "traced", "probed"],
     )
     def test_uncached_stages(self, context):
         link = _bench_links(1)[ADDR]
@@ -187,7 +198,14 @@ def _churn_campaign(parallel, *, traced=False, nodes=10, rounds=8):
         ]
         # ``rounds`` counts from the campaign's start: this runs the rest.
         report = reader.run_campaign(Command.READ_PH, rounds=rounds)
-    return campaign_digest(report, log, metrics), acks, log, reader
+    # The digest carries no SNR or BER, and at 35 dB the noise never
+    # changes a decode, so each link's final noise-stream position is
+    # compared alongside it.
+    noise = {
+        addr: resolve_link(transact).noise.snapshot_state()
+        for addr, transact in transports.items()
+    }
+    return (campaign_digest(report, log, metrics), noise), acks, log, reader
 
 
 class TestCrossModeIdentity:

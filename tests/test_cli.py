@@ -355,6 +355,31 @@ class TestStreamingCli:
             second = (flame_b.parent / (flame_b.name + suffix)).read_bytes()
             assert first == second, f"flamegraph {suffix} not deterministic"
 
+    def test_profile_fails_when_tracing_changes_the_digest(
+        self, monkeypatch, capsys
+    ):
+        """``repro profile`` exits 1 when the traced pass's campaign
+        digest differs from the cached and batched passes'."""
+        import repro.cli as cli
+        from repro.obs import get_tracer
+
+        bench_campaign = cli._bench_campaign
+
+        def diverging(*args, **kwargs):
+            seconds, digest, report = bench_campaign(*args, **kwargs)
+            if get_tracer().enabled:
+                digest = "0" * 64
+            return seconds, digest, report
+
+        monkeypatch.setattr(cli, "_bench_campaign", diverging)
+        assert main([
+            "profile", "--smoke", "--nodes", "1", "--rounds", "1",
+            "--repeats", "1",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: campaign digests differ across passes" in out
+        assert "traced 000000000000" in out
+
     def test_kill_resume_spliced_stream_replays_clean_run(self, tmp_path, capsys):
         """ISSUE acceptance: a stream interrupted mid-campaign and
         appended to by ``resume`` replays to the clean run's timeline."""
